@@ -14,6 +14,7 @@ import sys
 
 from . import __version__, construction, curves, expurgated, lpbound, verification
 from .channel import monte_carlo_pe
+from .curves import _fmt
 
 _PLOT_SCRIPT = '''\
 """Plot the five reliability-function bounds from a curves CSV.
@@ -53,12 +54,6 @@ def _write(text: str, path: str) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return format(x, ".17g")
 
 
 def _distance(s: str):

@@ -12,6 +12,7 @@ value (q cos(pi/q)/(1 + cos(pi/q)))^n.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ __all__ = [
     "lovasz_assignment",
     "lovasz_bound",
     "sphere_size",
+    "symbol_count",
     "freq_sphere_indicator",
     "canonical_sphere_word",
     "sphere_transform",
@@ -140,19 +142,28 @@ def sphere_size(n: int, ell: int) -> int:
     return math.comb(n, ell) * 2**ell
 
 
+def symbol_count(n: int, q: int, symbols) -> np.ndarray:
+    """Number of coordinates in symbols, for all words of Z_q^n at once.
+
+    A word with a nonzero coordinate outside symbols counts above n.  One
+    n-fold outer sum of the per-symbol table (0 at 0, 1 on symbols, n + 1
+    elsewhere), with no per-word loop.  The int8 sums cannot wrap: the size
+    guard keeps n (n + 1) below 128.
+    """
+    if q**n > _SIZE_GUARD:
+        raise ValueError(f"q^n = {q**n} exceeds guard {_SIZE_GUARD}")
+    table = np.full(q, n + 1, dtype=np.int8)
+    table[0] = 0
+    table[list(symbols)] = 1
+    return functools.reduce(np.add.outer, (table,) * n)
+
+
 def freq_sphere_indicator(n: int, q: int, ell: int) -> GroupFunction:
     """Indicator of words with ell coordinates equal to +-(q-1)/2, rest 0."""
     if not 0 <= ell <= n:
         raise ValueError(f"sphere index {ell} outside [0, {n}]")
     c = (q - 1) // 2
-    vals = np.zeros((q,) * n)
-    for positions in itertools.combinations(range(n), ell):
-        for signs in itertools.product((c, q - c), repeat=ell):
-            w = [0] * n
-            for pos, s in zip(positions, signs):
-                w[pos] = s
-            vals[tuple(w)] = 1.0
-    return GroupFunction(n, q, vals)
+    return GroupFunction(n, q, symbol_count(n, q, (c, q - c)) == ell)
 
 
 def canonical_sphere_word(n: int, u: int) -> tuple[int, ...]:

@@ -95,9 +95,21 @@ def test_lp_inf_distance(capsys):
 
 
 def test_lp_mrrw_multiplier(capsys):
-    assert main(["lp", "--n", "10", "--d", "3", "--mrrw"]) == 0
-    out = capsys.readouterr().out
-    assert "status certificate" in out
+    # the README command, pinned line by line
+    assert main(["lp", "--n", "10", "--d", "3", "--mrrw", "--verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"# typewriter-bounds {__version__} lp n=10 d=3 mrrw=True"
+    assert lines[1:] == [
+        "n 10",
+        "d 3",
+        "qprime 2.2360679774997898",
+        "status certificate",
+        "objective 806.73109046948525",
+        "lovasz 3125.0000000000014",
+        "composite 2521034.6577171427",
+        "verified true",
+        "pointwise_bound 2521034.6577171395",
+    ]
 
 
 def test_lp_usage_errors():

@@ -1,9 +1,12 @@
 """Group Fourier analysis on Z_q^n and the theta-type bound."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from typewriter_bounds.fourier import (
     GroupFunction,
@@ -114,6 +117,24 @@ def test_sphere_size_and_indicator():
     assert ind[(3, 0, 0)] == 1.0
     assert ind[(1, 0, 0)] == 0.0
     assert ind[(2, 3, 0)] == 0.0
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 4), q=st.sampled_from([5, 7]))
+def test_freq_sphere_indicators_partition_the_half_alphabet_cube(n, q):
+    c = (q - 1) // 2
+    inds = [freq_sphere_indicator(n, q, ell).values for ell in range(n + 1)]
+    for ell, ind in enumerate(inds):
+        assert ind.sum() == sphere_size(n, ell)
+    # disjoint, covering exactly {0, +-c}^n, each word on the sphere of its
+    # nonzero count
+    for x in itertools.product(range(q), repeat=n):
+        on = [ell for ell, ind in enumerate(inds) if ind[x] == 1.0]
+        assert all(ind[x] in (0.0, 1.0) for ind in inds)
+        if set(x) <= {0, c, q - c}:
+            assert on == [sum(v != 0 for v in x)], x
+        else:
+            assert on == [], x
 
 
 def test_canonical_sphere_word():

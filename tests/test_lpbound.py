@@ -1,13 +1,17 @@
 """Distance LP, explicit multiplier certificates, and exact small codes."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from typewriter_bounds.construction import word_weight
 from typewriter_bounds.fourier import lovasz_bound
 from typewriter_bounds.lpbound import (
     QPRIME,
+    certificate_function,
     composite_bound,
     first_root,
     load_certificate,
@@ -116,6 +120,10 @@ def test_verify_certificate_frozen_bounds():
     ):
         rep = verify_certificate(solve_distance_lp(n, d))
         assert rep.ok, rep.detail
+        # Python scalars, not numpy ones
+        assert type(rep.ok) is bool
+        for value in (rep.bound, rep.support_violation, rep.transform_minimum):
+            assert type(value) is float
         assert rep.bound == pytest.approx(bound, rel=1e-9)
         assert rep.support_violation <= 1e-12
         assert rep.transform_minimum >= -1e-12
@@ -124,6 +132,32 @@ def test_verify_certificate_frozen_bounds():
     rep = verify_certificate(mrrw_certificate(6, 3, t, a))
     assert rep.ok
     assert rep.bound == pytest.approx(3618.0321797477886, rel=1e-9)
+
+
+def test_support_violation_matches_brute_force():
+    # every certificate is checked at every d: the checked set is the words
+    # of typewriter weight >= d, non-confusable ones (weight inf) included
+    for n in range(1, 5):
+        distances = list(range(1, n + 1)) + [INF]
+        for d_lp in distances:
+            sol = solve_distance_lp(n, d_lp)
+            fr = certificate_function(sol).values.real
+            for d in distances:
+                want = max(
+                    fr[x]
+                    for x in itertools.product(range(5), repeat=n)
+                    if word_weight(x) >= d
+                )
+                got = verify_certificate(dataclasses.replace(sol, d=float(d)))
+                assert got.support_violation == want, (n, d_lp, d)
+
+
+def test_verify_certificate_rejects_a_doctored_distance():
+    rep = verify_certificate(dataclasses.replace(solve_distance_lp(4, 3), d=1.0))
+    assert rep.ok is False
+    assert rep.support_violation == pytest.approx(0.7868932583326326, rel=1e-9)
+    # at d = inf only the non-confusable words are checked
+    assert verify_certificate(solve_distance_lp(3, INF)).ok
 
 
 def test_certificate_roundtrip(tmp_path):
