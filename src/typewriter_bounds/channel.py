@@ -4,8 +4,11 @@ Each symbol is received either unchanged or shifted up by one (mod 5), with
 probability 1/2 independently.  Every output is therefore equally likely
 among the 2^n words reachable from the input, so maximum-likelihood
 decoding is a uniform choice among the codewords that could have produced
-the received word.  The simulator draws raw Philox words in a fixed
-per-trial layout, which makes results independent of batch size.
+the received word.  One decoder serves single words and whole batches: it
+ANDs the per-coordinate test "received minus sent is 0 or 1 (mod 5)" into a
+batch x m mask, one coordinate at a time.  The simulator draws raw Philox
+words in a fixed per-trial layout, which makes results independent of batch
+size.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import INF, word_distance
+from .curves import _fmt
 
 __all__ = [
     "channel_sample",
@@ -55,14 +59,27 @@ def confusion_prob(x, y) -> float:
     return 2.0 ** -(len(tuple(x)) + d)
 
 
+def _plausible_mask(code: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(batch, m) mask: codeword j can produce received word y[b].
+
+    ANDs the per-coordinate test (y - c) mod 5 in {0, 1} one coordinate at a
+    time, so memory stays at batch x m whatever the length.
+    """
+    mask = np.ones((y.shape[0], code.shape[0]), dtype=bool)
+    for c in range(code.shape[1]):
+        mask &= (y[:, c, None] - code[None, :, c]) % 5 <= 1
+    return mask
+
+
 def plausible_codewords(code, y) -> list:
     """Indices of codewords that can produce output y (shifts in {0, 1})."""
-    out = []
-    y = tuple(y)
-    for i, c in enumerate(code):
-        if all((yc - cc) % 5 <= 1 for yc, cc in zip(y, c)):
-            out.append(i)
-    return out
+    codearr = np.asarray(code, dtype=np.int64)
+    yarr = np.asarray(y, dtype=np.int64)
+    if codearr.ndim != 2 or yarr.shape != (codearr.shape[1],):
+        raise ValueError(
+            f"received word of shape {yarr.shape} does not match code of shape {codearr.shape}"
+        )
+    return np.flatnonzero(_plausible_mask(codearr, yarr[None, :])[0]).tolist()
 
 
 def ml_decode(code, y, tie: int = 0) -> int:
@@ -88,8 +105,7 @@ class SimResult:
     def csv(self) -> str:
         return (
             "trials,errors,estimate,ci95,seed\n"
-            f"{self.trials},{self.errors},{format(self.estimate, '.17g')},"
-            f"{format(self.ci95, '.17g')},{self.seed}\n"
+            f"{self.trials},{self.errors},{_fmt(self.estimate)},{_fmt(self.ci95)},{self.seed}\n"
         )
 
     @property
@@ -113,6 +129,8 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
         raise ValueError("noise layout supports at most 64 coordinates")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if batch < 1:
+        raise ValueError(f"batch {batch} must be at least 1")
     bitgen = np.random.Philox(key=seed)
     shifts = np.arange(n, dtype=np.uint64)
     errors = 0
@@ -123,8 +141,7 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
         msg = (raw[:, 0] % np.uint64(m)).astype(np.int64)
         noise = ((raw[:, 1, None] >> shifts) & np.uint64(1)).astype(np.int64)
         y = (codearr[msg] + noise) % 5
-        diff = (y[:, None, :] - codearr[None, :, :]) % 5
-        plaus = (diff <= 1).all(axis=2)
+        plaus = _plausible_mask(codearr, y)
         counts = plaus.sum(axis=1)
         choose = (raw[:, 2] % counts.astype(np.uint64)).astype(np.int64)
         decoded = (plaus.cumsum(axis=1) > choose[:, None]).argmax(axis=1)

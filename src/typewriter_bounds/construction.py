@@ -5,9 +5,10 @@ the relevant distance between words is Hamming distance when every coordinate
 differs by at most 1 (mod 5) and infinity otherwise.  Codes are built from a
 stacked generator [[I, 2I], [0, G]]: the top rows span n copies of the
 two-letter zero-error kernel {(u, 2u)}, and an inner generator G over Z5
-selects which shifted copies appear.  The weight of any resulting codeword
-follows from a per-coordinate case analysis that never materialises the
-length-2n word, which keeps full spectrum enumeration cheap.
+selects which shifted copies appear.  Coordinate i of the codeword
+(u1, 2 u1 + nu) weighs w(u1_i) + w(2 u1_i + nu_i), one entry of a 5 x 5
+table, so a weight never materialises the length-2n word, which keeps full
+spectrum enumeration cheap.
 """
 
 from __future__ import annotations
@@ -71,50 +72,32 @@ def word_distance(x, y) -> int | float:
 
 def word_weight(x) -> int | float:
     """Distance from the all-zero word."""
-    d = 0
-    for a in x:
-        s = _SYMBOL_WEIGHT[a % 5]
-        if s == INF:
-            return INF
-        d += s
-    return d
+    return word_distance(x, (0,) * len(x))
 
 
-# structured_weight case table for a coordinate with nu != 0 and u1 in {0, 1, 4}:
-# exactly one choice of u1 contributes 1, one contributes 2, one is infinite.
-_NONZERO_NU_TABLE = {
-    #        nu=1  nu=2  nu=3  nu=4
-    0: {1: 1, 2: INF, 3: INF, 4: 1},
-    1: {1: INF, 2: 2, 3: 1, 4: 2},
-    4: {1: 2, 2: 1, 3: 2, 4: INF},
-}
+# per-coordinate weight of (u1, 2 u1 + nu): _CONTRIB[a, v] = w(a) + w(2a + v),
+# with any infinite sum clipped to a large sentinel
+_INF_SENTINEL = 10**9
+_CONTRIB = np.minimum(
+    np.take(_SYMBOL_WEIGHT, np.arange(5)[:, None])
+    + np.take(_SYMBOL_WEIGHT, (2 * np.arange(5)[:, None] + np.arange(5)) % 5),
+    _INF_SENTINEL,
+).astype(np.int64)
 
 
 def structured_weight(u1, nu) -> int | float:
-    """Weight of the codeword (u1, 2*u1 + nu) from per-coordinate cases.
+    """Weight of the codeword (u1, 2*u1 + nu) from per-coordinate contributions.
 
-    Coordinates with u1 in {2, 3} are always infinite.  With nu = 0 the
-    contribution is 0 for u1 = 0 and infinite otherwise.  With nu != 0 the
-    contribution follows the fixed 1/2/infinity table above.  The length-2n
-    word itself is never built.
+    Coordinate i contributes w(u1_i) + w(2 u1_i + nu_i), read from the same
+    5 x 5 table that weight_spectrum sweeps; the length-2n word itself is
+    never built.
     """
     if len(u1) != len(nu):
         raise ValueError("length mismatch")
-    total = 0
-    for a, v in zip(u1, nu):
-        a %= 5
-        v %= 5
-        if a in (2, 3):
-            return INF
-        if v == 0:
-            if a != 0:
-                return INF
-        else:
-            c = _NONZERO_NU_TABLE[a][v]
-            if c == INF:
-                return INF
-            total += c
-    return total
+    a = np.asarray(u1, dtype=np.int64) % 5
+    v = np.asarray(nu, dtype=np.int64) % 5
+    total = int(_CONTRIB[a, v].sum())
+    return total if total < _INF_SENTINEL else INF
 
 
 @dataclass(frozen=True)
@@ -175,16 +158,6 @@ def _all_words(n: int) -> np.ndarray:
     for pos in range(n):
         cols.append((idx // 5 ** (n - 1 - pos)) % 5)
     return np.stack(cols, axis=1).astype(np.int64)
-
-
-# vectorised contribution table; infinity encoded as a large sentinel
-_INF_SENTINEL = 10**9
-_CONTRIB = np.full((5, 5), _INF_SENTINEL, dtype=np.int64)
-_CONTRIB[0, 0] = 0
-for _a, _row in _NONZERO_NU_TABLE.items():
-    for _v, _c in _row.items():
-        if _c != INF:
-            _CONTRIB[_a, _v] = _c
 
 
 def weight_spectrum(gen: StructuredGenerator) -> Spectrum:

@@ -174,8 +174,7 @@ def sample_curves(rmin: float, rmax: float, samples: int) -> list[BoundCurve]:
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
+    """17 significant digits, enough to round-trip; inf, -inf and nan as is."""
     return format(x, ".17g")
 
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .construction import INF, word_distance
+from .lpbound import max_code
 
 __all__ = [
     "bhattacharyya_matrix",
@@ -172,30 +173,11 @@ def e_ex2(r: float) -> float:
 def zero_error_code2() -> list[tuple[int, int]]:
     """Lexicographically first 5-word zero-error code of blocklength 2.
 
-    Exhaustive depth-first clique search over the 25 words, where two words
-    may share a code only when they are non-confusable.  Returns the shifted
-    double {(i, 2i mod 5)}; a size-6 code does not exist.
+    The exact clique search max_code(2, inf) over the 25 words, where two
+    words may share a code only when they are non-confusable.  Returns the
+    shifted double {(i, 2i mod 5)}; a size-6 code does not exist.
     """
-    words = list(itertools.product(range(5), repeat=2))
-    compatible = {
-        (x, y)
-        for x in words
-        for y in words
-        if x != y and word_distance(x, y) == INF
-    }
-
-    best: list[tuple[int, int]] = []
-
-    def extend(chosen, candidates):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if len(chosen) + len(candidates) <= len(best):
-            return
-        for i, w in enumerate(candidates):
-            extend(chosen + [w], [u for u in candidates[i + 1:] if (w, u) in compatible])
-
-    extend([], words)
-    if len(best) != 5:
-        raise AssertionError(f"expected a 5-word zero-error code, found {len(best)}")
-    return best
+    size, words = max_code(2, INF)
+    if size != 5:
+        raise AssertionError(f"expected a 5-word zero-error code, found {size}")
+    return list(words)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import INF, word_distance
+from .curves import _fmt
 from .fourier import (
     GroupFunction,
     dft,
@@ -384,11 +385,11 @@ def save_certificate(sol: LPSolution, path) -> None:
         "# distance LP certificate",
         f"n {sol.n}",
         f"d {'inf' if sol.d == INF else int(sol.d)}",
-        f"qprime {format(sol.qprime, '.17g')}",
+        f"qprime {_fmt(sol.qprime)}",
         f"status {sol.status}",
-        f"objective {format(sol.objective, '.17g')}",
-        "lam " + " ".join(format(v, ".17g") for v in sol.lam),
-        "Lambda " + " ".join(format(v, ".17g") for v in sol.Lambda),
+        f"objective {_fmt(sol.objective)}",
+        "lam " + " ".join(_fmt(v) for v in sol.lam),
+        "Lambda " + " ".join(_fmt(v) for v in sol.Lambda),
     ]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

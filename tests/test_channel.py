@@ -14,6 +14,7 @@ from typewriter_bounds.channel import (
     monte_carlo_pe,
     plausible_codewords,
 )
+from typewriter_bounds.construction import StructuredGenerator, code_from_generator
 from typewriter_bounds.expurgated import zero_error_code2
 
 
@@ -44,6 +45,11 @@ def test_plausible_codewords():
     assert plausible_codewords(code, (1, 2)) == [1]
     # output reachable from (0, 0) alone
     assert plausible_codewords(code, (1, 0)) == [0]
+    # a received word of another length is an error, not a truncated match
+    with pytest.raises(ValueError):
+        plausible_codewords([(0, 0, 0), (1, 2, 3)], (0, 0))
+    with pytest.raises(ValueError):
+        ml_decode([(0, 0, 0), (1, 2, 3)], (0, 0, 0, 0))
 
 
 def test_ml_decode_tie_cycling():
@@ -62,6 +68,25 @@ def test_monte_carlo_is_batch_size_invariant():
     c = monte_carlo_pe(pair, 30000, seed=3)
     assert a == b == c
     assert a.errors == 3744
+
+
+def test_monte_carlo_count_on_the_criterion_10_code():
+    code = code_from_generator(StructuredGenerator(2, 1, [[1, 2]]))
+    assert monte_carlo_pe(code, 1 << 16, seed=7).errors == 45116
+
+
+def test_ml_decode_replays_monte_carlo():
+    # trial t reads raw Philox words 4t..4t+3: message, noise bits, tie break
+    code = [(0, 0, 0), (1, 1, 0), (0, 1, 1), (3, 3, 3), (1, 0, 0)]
+    trials, seed = 3000, 5
+    raw = np.random.Philox(key=seed).random_raw(4 * trials).reshape(trials, 4)
+    errors = 0
+    for msg_word, noise_word, tie, _ in raw.tolist():
+        msg = msg_word % len(code)
+        y = tuple((c + (noise_word >> i & 1)) % 5 for i, c in enumerate(code[msg]))
+        errors += ml_decode(code, y, tie) != msg
+    assert errors > 0
+    assert monte_carlo_pe(code, trials, seed, batch=700).errors == errors
 
 
 def test_two_codeword_error_rate():
@@ -101,6 +126,9 @@ def test_monte_carlo_input_validation():
         monte_carlo_pe(np.zeros((2, 65), dtype=int), 10, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_pe(np.zeros(4, dtype=int), 10, seed=0)
+    for batch in (0, -1):
+        with pytest.raises(ValueError):
+            monte_carlo_pe([(0, 0), (1, 1)], 10, seed=0, batch=batch)
 
 
 def test_sim_result_fields_are_consistent():

@@ -1,6 +1,10 @@
 """Command line front end: formats, determinism, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +175,26 @@ def test_simulate_is_deterministic(tmp_path):
 def test_simulate_missing_code_file(tmp_path, capsys):
     assert main(["simulate", "--code", str(tmp_path / "nope.txt")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_zero_batch(tmp_path):
+    # a fresh process with a timeout, so a batch loop that never advances
+    # fails the test instead of stalling the suite
+    codefile = tmp_path / "pair.txt"
+    codefile.write_text("000\n110\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "typewriter_bounds.cli", "simulate", "--code", str(codefile), "--batch", "0"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and "batch" in proc.stderr
 
 
 def test_verify_all_suites_pass(capsys):

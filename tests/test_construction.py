@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -135,12 +136,22 @@ def test_code_from_generator_matches_spectrum():
     code = code_from_generator(gen)
     assert code.shape == (125, 4)
     assert len({tuple(w) for w in code.tolist()}) == 125
-    weights = [word_weight(tuple(w)) for w in code.tolist()]
-    finite = [w for w in weights if w != INF]
-    spec = weight_spectrum(gen)
-    assert sorted(finite) == sorted(
-        w for w, c in spec.counts.items() for _ in range(c)
-    )
+    gens = [
+        gen,
+        StructuredGenerator(3, 0, np.zeros((0, 3))),
+        StructuredGenerator(2, 1, [[0, 0]]),
+        StructuredGenerator(1, 2, [[1], [3]]),
+        StructuredGenerator(2, 2, [[1, 0], [4, 3]]),
+    ]
+    for n, k, seed in ((2, 1, 0), (3, 1, 1), (3, 2, 2), (4, 1, 3), (4, 2, 4)):
+        gens.append(StructuredGenerator(n, k, random_inner_generator(n, k, seed)))
+    for gen in gens:
+        code = code_from_generator(gen)
+        assert code.shape == (gen.message_count, 2 * gen.n)
+        weights = Counter(word_weight(tuple(w)) for w in code.tolist())
+        spec = weight_spectrum(gen)
+        want = Counter(spec.counts) + Counter({INF: spec.infinite_count})
+        assert weights == want, (gen.n, gen.k, gen.inner.tolist())
 
 
 def test_code_file_roundtrip(tmp_path):

@@ -136,6 +136,14 @@ def test_curves_csv_layout():
     assert plain.splitlines()[0].startswith("R,")
 
 
+def test_fmt_round_trips_and_keeps_the_sign_of_infinity():
+    assert curves._fmt(math.inf) == "inf"
+    assert curves._fmt(-math.inf) == "-inf"
+    assert curves._fmt(math.nan) == "nan"
+    for x in (0.1, -2.5e-300, 1.0 / 3.0, 2521034.6577171395):
+        assert float(curves._fmt(x)) == x
+
+
 def test_curves_csv_rejects_mismatched_input():
     sampled = sample_curves(C0, C, 3)
     with pytest.raises(ValueError):
