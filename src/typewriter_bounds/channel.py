@@ -59,11 +59,31 @@ def confusion_prob(x, y) -> float:
     return 2.0 ** -(len(tuple(x)) + d)
 
 
+def _symbols(values, what: str) -> np.ndarray:
+    """Integer symbols reduced mod 5, as int8.
+
+    The reduction runs in the input's own integer type before the narrowing,
+    which would otherwise wrap a symbol such as 130 to a wrong residue.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} symbols must be integers, got dtype {arr.dtype}")
+    return (arr % 5).astype(np.int8)
+
+
+def _code_symbols(code) -> np.ndarray:
+    codearr = _symbols(code, "code")
+    if codearr.ndim != 2 or codearr.shape[0] == 0:
+        raise ValueError(f"code must be a non-empty 2-d array of words, not {codearr.shape}")
+    return codearr
+
+
 def _plausible_mask(code: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(batch, m) mask: codeword j can produce received word y[b].
 
-    ANDs the per-coordinate test (y - c) mod 5 in {0, 1} one coordinate at a
-    time, so memory stays at batch x m whatever the length.
+    code and y hold int8 symbols in 0..4.  ANDs the per-coordinate test
+    (y - c) mod 5 in {0, 1} one coordinate at a time, so memory stays at
+    batch x m bytes whatever the length.
     """
     mask = np.ones((y.shape[0], code.shape[0]), dtype=bool)
     for c in range(code.shape[1]):
@@ -73,9 +93,9 @@ def _plausible_mask(code: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def plausible_codewords(code, y) -> list:
     """Indices of codewords that can produce output y (shifts in {0, 1})."""
-    codearr = np.asarray(code, dtype=np.int64)
-    yarr = np.asarray(y, dtype=np.int64)
-    if codearr.ndim != 2 or yarr.shape != (codearr.shape[1],):
+    codearr = _code_symbols(code)
+    yarr = _symbols(y, "received")
+    if yarr.shape != (codearr.shape[1],):
         raise ValueError(
             f"received word of shape {yarr.shape} does not match code of shape {codearr.shape}"
         )
@@ -121,9 +141,7 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
     noise bits (one per coordinate), tie break, one reserved.  The layout is
     fixed, so any batch size gives the identical error count.
     """
-    codearr = np.asarray(code, dtype=np.int64)
-    if codearr.ndim != 2:
-        raise ValueError("code must be a 2-d array of words")
+    codearr = _code_symbols(code)
     m, n = codearr.shape
     if n > 64:
         raise ValueError("noise layout supports at most 64 coordinates")
@@ -139,12 +157,12 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
         b = min(batch, trials - done)
         raw = bitgen.random_raw(_WORDS_PER_TRIAL * b).reshape(b, _WORDS_PER_TRIAL)
         msg = (raw[:, 0] % np.uint64(m)).astype(np.int64)
-        noise = ((raw[:, 1, None] >> shifts) & np.uint64(1)).astype(np.int64)
+        noise = ((raw[:, 1, None] >> shifts) & np.uint64(1)).astype(np.int8)
         y = (codearr[msg] + noise) % 5
         plaus = _plausible_mask(codearr, y)
         counts = plaus.sum(axis=1)
         choose = (raw[:, 2] % counts.astype(np.uint64)).astype(np.int64)
-        decoded = (plaus.cumsum(axis=1) > choose[:, None]).argmax(axis=1)
+        decoded = (plaus.cumsum(axis=1, dtype=np.int32) > choose[:, None]).argmax(axis=1)
         errors += int((decoded != msg).sum())
         done += b
     p = errors / trials

@@ -291,11 +291,9 @@ def verify_certificate(sol: LPSolution, q: int = 5) -> CertificateReport:
 def max_code(n: int, d):
     """Exact maximum code size for length n and typewriter distance >= d.
 
-    Branch and bound over the compatibility graph on all 5^n words with
-    bitset adjacency.  Words are scanned in base-5 lexicographic order, so
-    the returned witness is the lexicographically first maximum code.  The
-    greedy seed enters as a size bound only, one below its own size, which
-    forces the search to rediscover (and thereby lex-minimize) the witness.
+    Returns the size and the lexicographically first maximum code, a clique
+    of the compatibility graph on all 5^n words (words in base-5 order, an
+    edge where the distance is at least d).
 
     Typewriter distance depends only on the difference x - y in Z_5^n, so
     the compatibility graph is a Cayley graph: translating any maximum code
@@ -304,8 +302,21 @@ def max_code(n: int, d):
     it precedes every sorted code that does not, so the lex-first maximum
     code holds word 0.  The search therefore fixes word 0 and branches only
     over its compatible neighbours, which returns the same witness.
+
+    The search then runs two passes over one bitset graph.  A greedy
+    colouring of a node's candidates into classes of pairwise incompatible
+    words bounds what the node can add, since a code meets each class at
+    most once.  The size pass branches in the order of Tomita and Seki's
+    MCQ, highest class first, and leaves a node once its depth plus the
+    class number cannot beat the best size found; it returns only a number,
+    so its order is free.  The witness pass scans words in lex order,
+    prunes every node whose colouring cannot reach that size, and returns
+    the first code of that size it meets.  No pruned branch holds a code of
+    that size, so the first one met is the lex-first maximum code.
     """
-    if n < 1 or 5**n > 500:
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if 5**n > 500:
         raise ValueError(f"clique search limited to 5^n <= 500, got n = {n}")
     # normalize before the cache so every d > n shares the d = inf entry
     return _max_code_impl(n, _normalize_d(n, d))
@@ -325,58 +336,75 @@ def _max_code_impl(n: int, d):
             if compatible:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    universe = (1 << nv) - 1
+    size, clique = _max_clique_with_zero(adj)
+    return size, tuple(words[v] for v in clique)
+
+
+def _max_clique_with_zero(adj: list) -> tuple:
+    """Size and ascending vertices of the lex-first maximum clique through 0.
+
+    adj[v] is the bitset of the neighbours of v (symmetric, no loops).  The
+    size pass and the witness pass are those described in max_code.
+    """
+    universe = (1 << len(adj)) - 1
     # bitsets are keyed by their lowest set bit so the hot loops never need
     # an index extraction; single-bit ints hash cheaply
-    adj_by_bit = {1 << v: adj[v] for v in range(nv)}
-    conf_by_bit = {1 << v: (universe & ~adj[v]) & ~(1 << v) for v in range(nv)}
+    adj_by_bit = {1 << v: row for v, row in enumerate(adj)}
+    conf_by_bit = {1 << v: universe & ~row & ~(1 << v) for v, row in enumerate(adj)}
 
-    greedy = []
-    ok = universe
-    while ok:
-        v = (ok & -ok).bit_length() - 1
-        greedy.append(v)
-        ok &= adj[v]
-    best_size = len(greedy) - 1
-    best: list = []
-
-    def extend(chosen: list, pool: int, depth: int) -> None:
-        nonlocal best_size, best
-        if depth > best_size:
-            best_size = depth
-            best = list(chosen)
-        budget = best_size - depth
-        if pool.bit_count() <= budget:
-            return
-        # greedy clique cover of the conflict graph: each class is an
-        # independent set of the compatibility graph, so a code meets it at
-        # most once and the class count bounds the residual clique; falling
-        # out of the loop means the cover fits the budget, hence prune
-        rem = pool
-        count = 0
-        while rem:
-            count += 1
-            if count > budget:
-                break
-            can = rem
+    def colour_classes(pool: int) -> list:
+        classes = []
+        while pool:
+            cls = 0
+            can = pool
             while can:
                 low = can & -can
-                rem ^= low
+                cls |= low
                 can &= conf_by_bit[low]
-        else:
-            return
+            pool ^= cls
+            classes.append(cls)
+        return classes
+
+    best = 0
+
+    def grow(pool: int, depth: int) -> None:
+        nonlocal best
+        if depth > best:
+            best = depth
+        classes = colour_classes(pool)
+        for k in range(len(classes), 0, -1):
+            cls = classes[k - 1]
+            while cls:
+                if depth + k <= best:
+                    return
+                low = cls & -cls
+                cls ^= low
+                grow(pool & adj_by_bit[low], depth + 1)
+                pool ^= low
+
+    def scan(chosen: list, pool: int, depth: int) -> bool:
+        if depth == best:
+            return True
+        # class tops in falling order: the classes whose highest vertex is at
+        # least v colour the candidates from v up, a bound that falls with v
+        tops = sorted((cls.bit_length() for cls in colour_classes(pool)), reverse=True)
         while pool:
-            if depth + pool.bit_count() <= best_size:
-                return
             low = pool & -pool
+            while tops[-1] < low.bit_length():
+                tops.pop()
+            if depth + len(tops) < best:
+                return False
             pool ^= low
             chosen.append(low)
-            extend(chosen, pool & adj_by_bit[low], depth + 1)
+            if scan(chosen, pool & adj_by_bit[low], depth + 1):
+                return True
             chosen.pop()
+        return False
 
-    # word 0 is in the lex-first maximum code (see max_code)
-    extend([1], adj_by_bit[1], 1)
-    return best_size, tuple(words[b.bit_length() - 1] for b in best)
+    grow(adj[0], 1)
+    chosen = [1]
+    scan(chosen, adj[0], 1)
+    return best, [b.bit_length() - 1 for b in chosen]
 
 
 def save_certificate(sol: LPSolution, path) -> None:

@@ -50,6 +50,19 @@ def test_plausible_codewords():
         plausible_codewords([(0, 0, 0), (1, 2, 3)], (0, 0))
     with pytest.raises(ValueError):
         ml_decode([(0, 0, 0), (1, 2, 3)], (0, 0, 0, 0))
+    # symbols count mod 5 at any size, also past the int8 range
+    assert plausible_codewords([(130, -1), (1, 2)], (1, 4)) == [0]
+    assert plausible_codewords(np.array([(0, 4)], np.uint64), (-4, 259)) == [0]
+
+
+def test_decoders_reject_empty_codes_and_fractional_symbols():
+    for code in (np.zeros((0, 3), dtype=int), [[0, 0.5]], [["0", "1"]]):
+        with pytest.raises(ValueError):
+            monte_carlo_pe(code, 10, seed=1)
+        with pytest.raises(ValueError):
+            plausible_codewords(code, (0, 0))
+    with pytest.raises(ValueError):
+        plausible_codewords([(0, 0)], (0.5, 0))
 
 
 def test_ml_decode_tie_cycling():

@@ -136,6 +136,12 @@ def test_maxcode_stdout(capsys):
     assert lines[1:] == ["00", "12", "24", "31", "43"]
 
 
+def test_maxcode_rejects_a_zero_length(capsys):
+    assert main(["maxcode", "--n", "0", "--d", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "need n >= 1" in err and "500" not in err
+
+
 def test_maxcode_file_roundtrip(tmp_path):
     out = tmp_path / "code.txt"
     assert main(["maxcode", "--n", "2", "--d", "2", "--output", str(out)]) == 0
@@ -175,6 +181,13 @@ def test_simulate_is_deterministic(tmp_path):
 def test_simulate_missing_code_file(tmp_path, capsys):
     assert main(["simulate", "--code", str(tmp_path / "nope.txt")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_rejects_an_empty_code_file(tmp_path, capsys):
+    codefile = tmp_path / "empty.txt"
+    codefile.write_text("# no words\n")
+    assert main(["simulate", "--code", str(codefile)]) == 1
+    assert "error: empty code file" in capsys.readouterr().err
 
 
 def test_simulate_rejects_a_zero_batch(tmp_path):

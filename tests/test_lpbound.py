@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from typewriter_bounds.construction import word_weight
 from typewriter_bounds.fourier import lovasz_bound
 from typewriter_bounds.lpbound import (
     QPRIME,
+    _max_clique_with_zero,
     certificate_function,
     composite_bound,
     first_root,
@@ -176,28 +179,80 @@ def test_certificate_roundtrip(tmp_path):
     assert load_certificate(path).d == INF
 
 
+# (size, lex-first witness) of every (n, d) with n <= 3 and d <= 2n or inf,
+# pinned so that a faster search keeps them; d = 1 keeps every word
+_MAX_CODES = {
+    (1, 2): (2, "0 2"),
+    (1, INF): (2, "0 2"),
+    (2, 2): (10, "00 02 11 13 22 24 30 33 41 44"),
+    (2, 3): (5, "00 12 24 31 43"),
+    (2, 4): (5, "00 12 24 31 43"),
+    (2, INF): (5, "00 12 24 31 43"),
+    (3, 2): (
+        50,
+        "000 002 011 013 022 024 030 033 041 044 101 103 112 114 120 123 131"
+        " 134 140 142 202 204 210 213 221 224 230 232 241 243 300 303 311 314"
+        " 320 322 331 333 342 344 401 404 410 412 421 423 432 434 440 443",
+    ),
+    (3, 3): (
+        20,
+        "000 002 020 022 111 113 131 133 222 224 242 244 300 303 330 333 411"
+        " 414 441 444",
+    ),
+    (3, 4): (10, "000 002 020 122 200 224 243 312 331 433"),
+    (3, 5): (10, "000 002 020 122 200 224 243 312 331 433"),
+    (3, 6): (10, "000 002 020 122 200 224 243 312 331 433"),
+    (3, INF): (10, "000 002 020 122 200 224 243 312 331 433"),
+}
+
+
 def test_max_code_small_cases():
-    assert max_code(1, 1)[0] == 5
-    assert max_code(1, 2)[0] == 2
-    assert max_code(1, INF) == (2, ((0,), (2,)))
-    assert max_code(2, 2)[0] == 10
-    size, witness = max_code(2, INF)
-    assert size == 5
-    assert witness == ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3))
-    # d above the word length aliases to the zero-error instance
-    assert max_code(2, 4) == max_code(2, INF)
-    # lex-first witness of the cold search, pinned so a faster search keeps it
-    assert max_code(3, 4) == max_code(3, INF)
-    size, witness = max_code(3, INF)
-    assert size == 10
-    assert ["".join(map(str, w)) for w in witness] == [
-        "000", "002", "020", "122", "200", "224", "243", "312", "331", "433",
-    ]
+    for n in (1, 2, 3):
+        words = tuple(itertools.product(range(5), repeat=n))
+        assert max_code(n, 1) == (5**n, words)
+        for d in list(range(2, 2 * n + 1)) + [INF]:
+            size, witness = max_code(n, d)
+            got = " ".join("".join(map(str, w)) for w in witness)
+            assert (size, got) == _MAX_CODES[(n, d)], (n, d)
+    assert max_code(2, INF) == (5, ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3)))
+
+
+def _lex_first_clique_brute_force(adj):
+    best = (0,)
+    others = range(1, len(adj))
+    for r in range(1, len(adj)):
+        for rest in itertools.combinations(others, r):
+            clique = (0,) + rest
+            if all(adj[u] >> v & 1 for u, v in itertools.combinations(clique, 2)):
+                best = clique  # combinations come in lex order: keep the first
+                break
+        else:
+            break  # no clique of this size, so none larger
+    return len(best), list(best)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    nv=st.integers(1, 12),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_clique_with_zero_matches_brute_force(nv, density, seed):
+    rng = np.random.default_rng(seed)
+    adj = [0] * nv
+    for u, v in itertools.combinations(range(nv), 2):
+        if rng.random() < density:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    assert _max_clique_with_zero(adj) == _lex_first_clique_brute_force(adj)
 
 
 def test_max_code_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="5\\^n <= 500"):
         max_code(4, 2)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            max_code(n, 1)
 
 
 def test_composite_bound_dominates_exact_sizes_quickly():
