@@ -1,13 +1,17 @@
 """Fourier analysis on Z_q^n used by the linear-programming code bounds.
 
 Transforms use the symmetric kernel exp(+2 pi i <w, x> / q), applied axis by
-axis as a dense matrix product.  The central object is the product witness
-function that is 1 at the origin and 1/(2 cos(pi/q)) at the 2n words that
-differ from it by one cyclic step: its transform vanishes identically on the
-frequency spheres with all nonzero entries equal to +-(q-1)/2, which is what
-lets sphere-supported multipliers be folded in without disturbing
-nonnegativity, and its ratio q^n f(0)/f_hat(0) reproduces the theta-function
-value (q cos(pi/q)/(1 + cos(pi/q)))^n.
+axis as a matrix product.  The dense q^n transforms serve the self-checks and
+the tests; lpbound applies row or column slices of the same kernels to the
+3^n words where its certificate lives, with the same per-axis product.
+
+The central object is the product witness function that is 1 at the origin
+and 1/(2 cos(pi/q)) at the 2n words that differ from it by one cyclic step:
+its transform vanishes identically on the frequency spheres with all nonzero
+entries equal to +-(q-1)/2, which is what lets sphere-supported multipliers
+be folded in without disturbing nonnegativity, and its ratio
+q^n f(0)/f_hat(0) reproduces the theta-function value
+(q cos(pi/q)/(1 + cos(pi/q)))^n.
 """
 
 from __future__ import annotations
@@ -53,8 +57,7 @@ class GroupFunction:
             raise ValueError(f"alphabet size {self.q} must be odd and >= 5")
         if self.n < 1:
             raise ValueError("need n >= 1")
-        if self.q**self.n > _SIZE_GUARD:
-            raise ValueError(f"q^n = {self.q**self.n} exceeds guard {_SIZE_GUARD}")
+        _check_size(self.n, self.q)
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (self.q,) * self.n:
             raise ValueError(f"values shape {vals.shape} != {(self.q,) * self.n}")
@@ -64,27 +67,42 @@ class GroupFunction:
         return complex(self.values[tuple(c % self.q for c in word)])
 
 
-def _apply_axes(f: GroupFunction, kernel: np.ndarray) -> GroupFunction:
-    arr = f.values
-    for axis in range(f.n):
+def _check_size(n: int, q: int) -> None:
+    """Refuse Z_q^n before allocating anything of size q^n."""
+    if q**n > _SIZE_GUARD:
+        raise ValueError(f"q^n = {q**n} exceeds guard {_SIZE_GUARD}")
+
+
+def _dft_kernel(q: int) -> np.ndarray:
+    grid = np.arange(q)
+    return np.exp(2j * np.pi * np.outer(grid, grid) / q)
+
+
+def _idft_kernel(q: int) -> np.ndarray:
+    grid = np.arange(q)
+    return np.exp(-2j * np.pi * np.outer(grid, grid) / q) / q
+
+
+def _apply_axes(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Contract every axis of arr with the columns of kernel, in axis order.
+
+    A rectangular (rows x cols) kernel maps axes of length cols to length
+    rows, so a slice of a transform kernel transforms functions supported on
+    a sub-cube, or evaluates the transform on one.
+    """
+    for axis in range(arr.ndim):
         arr = np.moveaxis(np.tensordot(kernel, arr, axes=([1], [axis])), 0, axis)
-    return GroupFunction(f.n, f.q, arr)
+    return arr
 
 
 def dft(f: GroupFunction) -> GroupFunction:
     """f_hat(w) = sum_x f(x) exp(+2 pi i <w, x> / q)."""
-    q = f.q
-    grid = np.arange(q)
-    kernel = np.exp(2j * np.pi * np.outer(grid, grid) / q)
-    return _apply_axes(f, kernel)
+    return GroupFunction(f.n, f.q, _apply_axes(f.values, _dft_kernel(f.q)))
 
 
 def idft(f: GroupFunction) -> GroupFunction:
     """Inverse of dft: q^-n sum_w f(w) exp(-2 pi i <w, x> / q)."""
-    q = f.q
-    grid = np.arange(q)
-    kernel = np.exp(-2j * np.pi * np.outer(grid, grid) / q) / q
-    return _apply_axes(f, kernel)
+    return GroupFunction(f.n, f.q, _apply_axes(f.values, _idft_kernel(f.q)))
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
@@ -150,8 +168,7 @@ def symbol_count(n: int, q: int, symbols) -> np.ndarray:
     elsewhere), with no per-word loop.  The int8 sums cannot wrap: the size
     guard keeps n (n + 1) below 128.
     """
-    if q**n > _SIZE_GUARD:
-        raise ValueError(f"q^n = {q**n} exceeds guard {_SIZE_GUARD}")
+    _check_size(n, q)
     table = np.full(q, n + 1, dtype=np.int8)
     table[0] = 0
     table[list(symbols)] = 1

@@ -23,11 +23,11 @@ from .construction import INF, word_distance
 from .curves import _fmt
 from .fourier import (
     GroupFunction,
-    dft,
-    idft,
-    lovasz_assignment,
+    _apply_axes,
+    _check_size,
+    _dft_kernel,
+    _idft_kernel,
     lovasz_bound,
-    symbol_count,
 )
 from .scalars import bisect_root, krawtchouk
 from .simplex import simplex_solve
@@ -216,6 +216,32 @@ def mrrw_params(n: int, d: int, qprime: float = QPRIME):
     return best
 
 
+def _cube_certificate(sol: LPSolution, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The certificate f on {0, 1, q-1}^n, and the typewriter weights there.
+
+    f = g h vanishes off this cube because the witness g does, and g on it
+    is the outer product of (1, phi, phi).  The multiplier's transform is
+    q^n lam_ell (2 cos)^-ell on the ell-th frequency sphere and 0 off the
+    spheres, so it lives on {0, (q-1)/2, (q+1)/2}^n, and h on the cube is
+    the idft restricted to those rows and columns: one 3 x 3 sub-kernel per
+    axis.  On both cubes the sphere index and the typewriter weight are the
+    number of nonzero coordinates.
+    """
+    c = math.cos(math.pi / q)
+    if abs(sol.qprime - (1.0 + 1.0 / c)) > 1e-9:
+        raise ValueError(f"certificate qprime {sol.qprime} does not match q = {q}")
+    n = sol.n
+    # the caller goes on to q^n arrays (the dense f, or f_hat)
+    _check_size(n, q)
+    count = functools.reduce(np.add.outer, (np.array([0, 1, 1], dtype=np.int8),) * n)
+    coeffs = np.array([q**n * lam / (2.0 * c) ** ell for ell, lam in enumerate(sol.lam)])
+    cube, sphere = (0, 1, q - 1), (0, (q - 1) // 2, (q + 1) // 2)
+    h = _apply_axes(coeffs[count], _idft_kernel(q)[np.ix_(cube, sphere)])
+    phi = 1.0 / (2.0 * c)
+    g = functools.reduce(np.multiply.outer, (np.array([1.0, phi, phi]),) * n)
+    return g * h, count
+
+
 def certificate_function(sol: LPSolution, q: int = 5) -> GroupFunction:
     """Product witness times sphere multiplier, as a function on Z_q^n.
 
@@ -224,21 +250,14 @@ def certificate_function(sol: LPSolution, q: int = 5) -> GroupFunction:
     <= 0 on confusable differences with >= d steps, has nonnegative
     transform, and satisfies q^n f(0) / f_hat(0) = composite bound.
 
-    The multiplier's transform is q^n lam_ell (2 cos)^-ell on the ell-th
-    frequency sphere and 0 off the spheres, read from a table indexed by
-    symbol_count, with no per-word Python loop.
+    f is computed on {0, +-1}^n only (3^n words, see verify_certificate)
+    and scattered into zeros; q^n above the fourier size guard raises
+    ValueError before anything is allocated.
     """
-    c = math.cos(math.pi / q)
-    if abs(sol.qprime - (1.0 + 1.0 / c)) > 1e-9:
-        raise ValueError(f"certificate qprime {sol.qprime} does not match q = {q}")
-    n = sol.n
-    # off the spheres the sphere index runs up to n (n + 1), at weight 0
-    coeffs = np.zeros(n * (n + 1) + 1)
-    coeffs[: n + 1] += [q**n * lam / (2.0 * c) ** ell for ell, lam in enumerate(sol.lam)]
-    sphere = symbol_count(n, q, ((q - 1) // 2, (q + 1) // 2))
-    h = idft(GroupFunction(n, q, coeffs[sphere]))
-    g = lovasz_assignment(n, q)
-    return GroupFunction(n, q, g.values * h.values)
+    f, _ = _cube_certificate(sol, q)
+    values = np.zeros((q,) * sol.n, dtype=np.complex128)
+    values[np.ix_(*((0, 1, q - 1),) * sol.n)] = f
+    return GroupFunction(sol.n, q, values)
 
 
 @dataclass(frozen=True)
@@ -257,25 +276,30 @@ def verify_certificate(sol: LPSolution, q: int = 5) -> CertificateReport:
     bound q^n f(0) / f_hat(0) matches the composite value lovasz * Lambda(0).
     The checked set is every word of typewriter weight >= d together with
     every non-confusable word (one with a coordinate outside {0, +-1}), so
-    at d = inf it is exactly the non-confusable words.  symbol_count gives
-    the weights of all q^n words, with no per-word Python loop.  Tolerances
-    are relative to the largest magnitude in each array.
+    at d = inf it is exactly the non-confusable words.  Tolerances are
+    relative to the largest magnitude in each array.
+
+    f is built and checked on the 3^n words of {0, +-1}^n, where it lives:
+    off them it is exactly 0, so the support maximum is the larger of 0 and
+    the cube's maximum.  f_hat is evaluated at all q^n words by the q x 3
+    column slice of the dft kernel per axis, so only the last axis product
+    has q^n entries, and the peak memory stays under three complex q^n
+    arrays.  q^n above the fourier size guard raises ValueError before
+    anything is allocated.
     """
-    f = certificate_function(sol, q)
-    fr = f.values.real
+    f, weight = _cube_certificate(sol, q)
+    fr = f.real
     scale = float(np.abs(fr).max())
     n = sol.n
-    # the non-confusable words are exactly those of weight > n
-    weight = symbol_count(n, q, (1, q - 1))
     threshold = n + 1 if sol.d > n else math.ceil(sol.d)
-    # + 0.0 reports a zero maximum as 0.0 whichever signed zero np.max picks
-    worst = float(np.max(fr, where=weight >= threshold, initial=-math.inf)) + 0.0
-    fhat = dft(f).values.real
-    hatscale = float(np.abs(fhat).max())
+    # max keeps its first argument on a tie, so a zero maximum is reported as +0.0
+    worst = max(0.0, float(np.max(fr, where=weight >= threshold, initial=-math.inf)))
+    fhat = _apply_axes(f, _dft_kernel(q)[:, (0, 1, q - 1)]).real
     tmin = float(fhat.min())
-    origin = (0,) * sol.n
-    bound = q**sol.n * fr[origin] / fhat[origin]
-    target = lovasz_bound(sol.n, q) * sol.objective
+    hatscale = max(float(fhat.max()), -tmin)
+    origin = (0,) * n
+    bound = q**n * fr[origin] / fhat[origin]
+    target = lovasz_bound(n, q) * sol.objective
     ok = (
         worst <= 1e-9 * max(1.0, scale)
         and tmin >= -1e-9 * max(1.0, hatscale)

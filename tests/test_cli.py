@@ -116,6 +116,13 @@ def test_lp_mrrw_multiplier(capsys):
     ]
 
 
+def test_lp_verify_refuses_lengths_beyond_the_size_guard(capsys):
+    assert main(["lp", "--n", "11", "--d", "3", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: q^n = 48828125 exceeds guard 10000000" in captured.err
+
+
 def test_lp_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["lp", "--n", "2", "--d", "0"])

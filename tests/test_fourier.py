@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from typewriter_bounds.fourier import (
     GroupFunction,
+    _apply_axes,
+    _dft_kernel,
+    _idft_kernel,
     canonical_sphere_word,
     convolve,
     dft,
@@ -53,6 +56,31 @@ def test_idft_inverts_dft():
         f = _random_function(n, q, seed=n * q)
         back = idft(dft(f))
         assert np.allclose(back.values, f.values, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_sliced_kernels_transform_functions_on_sub_cubes(n, seed):
+    # the certificate's transforms: a function on {0, +-2}^n inverted onto
+    # {0, +-1}^n, and a function on {0, +-1}^n transformed at every word
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(3,) * n) + 1j * rng.normal(size=(3,) * n)
+    tol = 1e-12 * np.abs(vals).sum()
+    cube, sphere = (0, 1, 4), (0, 2, 3)
+
+    dense = np.zeros((5,) * n, dtype=np.complex128)
+    dense[np.ix_(*(sphere,) * n)] = vals
+    want = idft(GroupFunction(n, 5, dense)).values[np.ix_(*(cube,) * n)]
+    got = _apply_axes(vals, _idft_kernel(5)[np.ix_(cube, sphere)])
+    assert got.shape == (3,) * n
+    assert np.abs(got - want).max() <= tol / 5**n
+
+    dense = np.zeros((5,) * n, dtype=np.complex128)
+    dense[np.ix_(*(cube,) * n)] = vals
+    want = dft(GroupFunction(n, 5, dense)).values
+    got = _apply_axes(vals, _dft_kernel(5)[:, cube])
+    assert got.shape == (5,) * n
+    assert np.abs(got - want).max() <= tol
 
 
 def test_parseval():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typewriter_bounds.construction import word_weight
-from typewriter_bounds.fourier import lovasz_bound
+from typewriter_bounds.fourier import (
+    GroupFunction,
+    dft,
+    idft,
+    lovasz_assignment,
+    lovasz_bound,
+    symbol_count,
+)
 from typewriter_bounds.lpbound import (
     QPRIME,
     _max_clique_with_zero,
@@ -161,6 +169,89 @@ def test_verify_certificate_rejects_a_doctored_distance():
     assert rep.support_violation == pytest.approx(0.7868932583326326, rel=1e-9)
     # at d = inf only the non-confusable words are checked
     assert verify_certificate(solve_distance_lp(3, INF)).ok
+
+
+def _dense_certificate(sol):
+    """The dense construction on all 5^n words, as the reference.
+
+    idft of the sphere table (indexed by symbol_count, zero off the
+    spheres) times the Lovasz witness is f, and dft(f) is f_hat.  Returns
+    f, the bound, the support maximum, the transform minimum and the scale
+    of f_hat, computed the way verify_certificate once computed them.
+    """
+    n, q = sol.n, 5
+    c = math.cos(math.pi / q)
+    coeffs = np.zeros(n * (n + 1) + 1)
+    coeffs[: n + 1] = [q**n * lam / (2.0 * c) ** ell for ell, lam in enumerate(sol.lam)]
+    h = idft(GroupFunction(n, q, coeffs[symbol_count(n, q, (2, 3))]))
+    f = lovasz_assignment(n, q).values * h.values
+    fhat = dft(GroupFunction(n, q, f)).values.real
+    weight = symbol_count(n, q, (1, 4))
+    threshold = n + 1 if sol.d > n else math.ceil(sol.d)
+    worst = float(np.max(f.real, where=weight >= threshold, initial=-math.inf)) + 0.0
+    origin = (0,) * n
+    bound = q**n * f.real[origin] / fhat[origin]
+    return f, bound, worst, float(fhat.min()), float(np.abs(fhat).max())
+
+
+def test_certificate_matches_the_dense_construction():
+    sols = [
+        solve_distance_lp(n, d)
+        for n in range(1, 7)
+        for d in list(range(1, n + 1)) + [INF]
+    ]
+    sols = [sol for sol in sols if sol.status == "optimal"]
+    assert len(sols) == 27
+    t, a, _ = mrrw_params(6, 3)
+    sols += [mrrw_certificate(6, 3, t, a), solve_distance_lp(8, 3)]
+    # the cases test_verify_certificate_frozen_bounds pins
+    pinned = {(2, 2, "optimal"), (4, 2, "optimal"), (6, 3, "optimal"), (6, 3, "certificate")}
+    seen = set()
+    for sol in sols:
+        want_f, bound, worst, tmin, hatscale = _dense_certificate(sol)
+        scale = np.abs(want_f).max()
+        f = certificate_function(sol).values
+        assert np.abs(f - want_f).max() <= 1e-12 * scale
+        off_cube = symbol_count(sol.n, 5, (1, 4)) > sol.n
+        assert not f[off_cube].any()
+        rep = verify_certificate(sol)
+        assert rep.ok, rep.detail
+        key = (sol.n, sol.d, sol.status)
+        if key in pinned:
+            seen.add(key)
+            assert rep.bound == bound, key
+        else:
+            assert rep.bound == pytest.approx(bound, rel=1e-12), key
+        assert abs(rep.support_violation - worst) <= 1e-12 * scale, key
+        assert abs(rep.transform_minimum - tmin) <= 1e-12 * hatscale, key
+    assert seen == pinned
+
+
+def test_verify_certificate_memory_cap():
+    # f_hat is the only q^n array; the cap is three complex q^n arrays
+    # (about 2.2 are reached; two dense transforms reached about 4.1)
+    sol = solve_distance_lp(8, 3)
+    tracemalloc.start()
+    try:
+        rep = verify_certificate(sol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak <= 3 * 16 * 5**8
+
+
+def test_certificate_size_guard_refuses_before_allocating():
+    sol = solve_distance_lp(11, 3)
+    for check in (certificate_function, verify_certificate):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"q\^n = 48828125 exceeds guard 10000000"):
+                check(sol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, check.__name__
 
 
 def test_certificate_roundtrip(tmp_path):
