@@ -91,6 +91,8 @@ def _cmd_figure1(args) -> int:
 
 
 def _cmd_expurgated(args) -> int:
+    if not math.isfinite(args.rho_min) or not math.isfinite(args.rho_max):
+        raise ValueError(f"rho window [{args.rho_min}, {args.rho_max}] is not finite")
     if args.samples < 2 or args.rho_max <= args.rho_min:
         raise ValueError("need rho-max > rho-min and at least two samples")
     stamp = _stamp(

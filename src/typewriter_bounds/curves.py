@@ -54,8 +54,8 @@ _EDGE_TOL = 1e-12
 
 
 def _check_rate(r: float, lo: float, hi: float) -> float:
-    """Clamp r into [lo, hi] when within 1e-12, else raise."""
-    if r < lo - _EDGE_TOL or r > hi + _EDGE_TOL:
+    """Clamp r into [lo, hi] when within 1e-12, else raise (NaN included)."""
+    if not lo - _EDGE_TOL <= r <= hi + _EDGE_TOL:
         raise ValueError(f"rate {r!r} outside [{lo}, {hi}]")
     return min(max(r, lo), hi)
 

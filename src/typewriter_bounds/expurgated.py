@@ -38,10 +38,15 @@ __all__ = [
 LOG5 = math.log2(5.0)
 
 
+def _check_rho(rho: float) -> None:
+    """Refuse rho below 1, and NaN, which compares false with everything."""
+    if not rho >= 1.0:
+        raise ValueError(f"rho {rho!r} is not >= 1")
+
+
 def bhattacharyya_matrix(rho: float) -> np.ndarray:
     """5x5 circulant with 1 on the diagonal and 2^(-1/rho) at offsets +-1."""
-    if rho < 1.0:
-        raise ValueError(f"rho {rho!r} below 1")
+    _check_rho(rho)
     alpha = 2.0 ** (-1.0 / rho)
     m = np.zeros((5, 5))
     for i in range(5):
@@ -53,8 +58,7 @@ def bhattacharyya_matrix(rho: float) -> np.ndarray:
 
 def circulant_eigenvalues(rho: float) -> list[float]:
     """Eigenvalues 1 + 2^(1-1/rho) cos(2 pi k / 5), k = 0..4."""
-    if rho < 1.0:
-        raise ValueError(f"rho {rho!r} below 1")
+    _check_rho(rho)
     scale = 2.0 ** (1.0 - 1.0 / rho)
     return [1.0 + scale * math.cos(2.0 * math.pi * k / 5.0) for k in range(5)]
 
@@ -76,8 +80,7 @@ def ex_exponent_inf(rho: float) -> float:
     support optimal).  The two branches meet at critical_rho because
     1 + 2/golden = sqrt 5.
     """
-    if rho < 1.0:
-        raise ValueError(f"rho {rho!r} below 1")
+    _check_rho(rho)
     if rho <= critical_rho():
         return -rho * math.log2((1.0 + 2.0 ** (1.0 - 1.0 / rho)) / 5.0)
     return rho * LOG5 / 2.0
@@ -135,8 +138,7 @@ def q_form(rho: float, dist: InputDistribution) -> float | Fraction:
     kernel values 1 and 0 appear, and the form is returned as an exact
     Fraction of the squared probabilities.
     """
-    if rho < 1.0:
-        raise ValueError(f"rho {rho!r} below 1")
+    _check_rho(rho)
     support = dist.support
     exact = all(
         word_distance(x, y) in (0, INF)

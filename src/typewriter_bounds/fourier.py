@@ -29,11 +29,9 @@ __all__ = [
     "GroupFunction",
     "dft",
     "idft",
-    "convolve",
     "inner",
     "lovasz_assignment",
     "lovasz_bound",
-    "sphere_size",
     "symbol_count",
     "freq_sphere_indicator",
     "canonical_sphere_word",
@@ -105,22 +103,6 @@ def idft(f: GroupFunction) -> GroupFunction:
     return GroupFunction(f.n, f.q, _apply_axes(f.values, _idft_kernel(f.q)))
 
 
-def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """Cyclic convolution (f * g)(x) = sum_y f(x - y) g(y), direct sum."""
-    if (f.n, f.q) != (g.n, g.q):
-        raise ValueError("mismatched domains")
-    q, n = f.q, f.n
-    if q ** (2 * n) > _SIZE_GUARD:
-        raise ValueError("domain too large for direct convolution")
-    out = np.zeros((q,) * n, dtype=np.complex128)
-    for y in itertools.product(range(q), repeat=n):
-        shifted = f.values
-        for axis, c in enumerate(y):
-            shifted = np.roll(shifted, c, axis=axis)
-        out += shifted * g.values[y]
-    return GroupFunction(n, q, out)
-
-
 def inner(f: GroupFunction, g: GroupFunction) -> complex:
     """(f, g) = q^-n sum_x conj(f(x)) g(x)."""
     if (f.n, f.q) != (g.n, g.q):
@@ -153,11 +135,6 @@ def lovasz_bound(n: int, q: int) -> float:
         raise ValueError("need n >= 1")
     c = math.cos(math.pi / q)
     return (q * c / (1.0 + c)) ** n
-
-
-def sphere_size(n: int, ell: int) -> int:
-    """Number of words with exactly ell coordinates in a fixed +- pair."""
-    return math.comb(n, ell) * 2**ell
 
 
 def symbol_count(n: int, q: int, symbols) -> np.ndarray:

@@ -4,11 +4,13 @@ A feasible multiplier vector lam with lam_0 = 1, lam_ell >= 0 and
 Lambda(u) = sum_ell lam_ell K_ell(u) <= 0 for u = d..n certifies that any
 code whose confusable pairs all differ in at least d coordinates has at most
 Lambda(0) words per Lovasz witness, for a composite bound of
-(q cos / (1 + cos))^n * Lambda(0).  This module finds optimal multipliers by
-simplex, builds the explicit two-point Christoffel-Darboux multipliers used
-in the asymptotic analysis, reconstructs the product certificate function on
-Z_q^n, and verifies it pointwise.  Exact small-length optima come from a
-branch-and-bound clique search for cross-checking.
+(5 cos / (1 + cos))^n * Lambda(0) with cos = cos(pi/5).  This module finds
+optimal multipliers by simplex, builds the explicit two-point
+Christoffel-Darboux multipliers used in the asymptotic analysis,
+reconstructs the product certificate function on Z_5^n, and verifies it
+pointwise.  Exact small-length optima come from a branch-and-bound clique
+search for cross-checking.  q' = sqrt 5 and q = 5 are fixed: the composite
+bound's q = 5 Lovasz factor bounds nothing at any other q'.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ __all__ = [
 ]
 
 QPRIME = 1.0 + 1.0 / math.cos(math.pi / 5.0)  # equals sqrt 5
+_Q = 5
+_CUBE = (0, 1, _Q - 1)  # the symbols where the certificate lives
 
 
 @dataclass(frozen=True)
@@ -80,14 +84,14 @@ def _normalize_d(n: int, d) -> float:
     return d
 
 
-def _kraw_table(n: int, qprime: float) -> np.ndarray:
+def _kraw_table(n: int) -> np.ndarray:
     """K[u, ell] = K_ell(u) for u, ell = 0..n."""
     return np.array(
-        [[krawtchouk(n, ell, u, qprime) for ell in range(n + 1)] for u in range(n + 1)]
+        [[krawtchouk(n, ell, u, QPRIME) for ell in range(n + 1)] for u in range(n + 1)]
     )
 
 
-def solve_distance_lp(n: int, d, qprime: float = QPRIME) -> LPSolution:
+def solve_distance_lp(n: int, d) -> LPSolution:
     """Minimize Lambda(0) over lam_0 = 1, lam >= 0, Lambda(u) <= 0, u = d..n.
 
     Columns are scaled by K_ell(0) so the tableau entries stay O(1); the
@@ -97,45 +101,39 @@ def solve_distance_lp(n: int, d, qprime: float = QPRIME) -> LPSolution:
     if n < 1:
         raise ValueError("need n >= 1")
     d = _normalize_d(n, d)
-    K = _kraw_table(n, qprime)
+    K = _kraw_table(n)
     if d == INF:
         lam = (1.0,) + (0.0,) * n
-        return LPSolution(n, d, qprime, lam, tuple(K[:, 0]), 1.0, "optimal")
+        return LPSolution(n, d, QPRIME, lam, tuple(K[:, 0]), 1.0, "optimal")
 
     k0 = K[0, 1:]  # K_ell(0) = (q'-1)^ell C(n, ell) > 0
     scaled = K[:, 1:] / k0
-    res = simplex_solve(
-        np.ones(n),
-        A_ub=scaled[d:, :],
-        b_ub=-np.ones(n + 1 - d),
-    )
+    res = simplex_solve(np.ones(n), scaled[d:, :], -np.ones(n + 1 - d))
     if res.status != "optimal":
         nanv = (math.nan,) * (n + 1)
-        return LPSolution(n, d, qprime, nanv, nanv, math.nan, res.status)
+        return LPSolution(n, d, QPRIME, nanv, nanv, math.nan, res.status)
     mu = np.maximum(res.x, 0.0)
     lam = np.concatenate([[1.0], mu / k0])
     values = K @ lam
     slack = float(values[d:].max(initial=-math.inf))
     if slack > 1e-7 * max(1.0, float(values[0])):
         raise ArithmeticError(f"simplex solution violates Lambda <= 0 by {slack:.3e}")
-    return LPSolution(
-        n, d, qprime, tuple(lam), tuple(values), float(values[0]), "optimal"
-    )
+    return LPSolution(n, d, QPRIME, tuple(lam), tuple(values), float(values[0]), "optimal")
 
 
-def composite_bound(n: int, d, qprime: float = QPRIME) -> float:
+def composite_bound(n: int, d) -> float:
     """(5 cos / (1 + cos))^n times the distance-LP value."""
-    sol = solve_distance_lp(n, d, qprime)
+    sol = solve_distance_lp(n, d)
     if sol.status != "optimal":
         raise ArithmeticError(f"distance LP failed: {sol.status}")
-    return lovasz_bound(n, 5) * sol.objective
+    return lovasz_bound(n, _Q) * sol.objective
 
 
-def first_root(n: int, ell: int, qprime: float = QPRIME) -> float:
+def first_root(n: int, ell: int) -> float:
     """Smallest positive zero of u -> K_ell(u), by scan plus bisection."""
     if ell < 1:
         raise ValueError("K_0 has no root")
-    f = lambda u: krawtchouk(n, ell, u, qprime)
+    f = lambda u: krawtchouk(n, ell, u, QPRIME)
     prev_u, prev_v = 0.0, f(0.0)
     u = 0.05
     while u <= n + 0.05:
@@ -149,7 +147,7 @@ def first_root(n: int, ell: int, qprime: float = QPRIME) -> float:
     raise ArithmeticError(f"no sign change found for K_{ell} on [0, {n}]")
 
 
-def mrrw_certificate(n: int, d: int, t: int, a: float, qprime: float = QPRIME) -> LPSolution:
+def mrrw_certificate(n: int, d: int, t: int, a: float) -> LPSolution:
     """Christoffel-Darboux multiplier at degree t and reference point a.
 
     Lambda(u) = (a - u)^-1 (K_t(a) K_{t+1}(u) - K_{t+1}(a) K_t(u))^2, which
@@ -162,30 +160,28 @@ def mrrw_certificate(n: int, d: int, t: int, a: float, qprime: float = QPRIME) -
         raise ValueError(f"degree {t} outside [1, {n - 1}]")
     if not 0.0 < a < d:
         raise ValueError(f"reference point {a} outside (0, {d})")
-    kta = krawtchouk(n, t, a, qprime)
-    kt1a = krawtchouk(n, t + 1, a, qprime)
-    K = _kraw_table(n, qprime)
+    kta = krawtchouk(n, t, a, QPRIME)
+    kt1a = krawtchouk(n, t + 1, a, QPRIME)
+    K = _kraw_table(n)
     values = np.array(
         [(kta * K[u, t + 1] - kt1a * K[u, t]) ** 2 / (a - u) for u in range(n + 1)]
     )
-    weight = np.array(
-        [(qprime - 1.0) ** u * math.comb(n, u) for u in range(n + 1)]
-    )
+    weight = np.array([(QPRIME - 1.0) ** u * math.comb(n, u) for u in range(n + 1)])
     lam = np.empty(n + 1)
     for ell in range(n + 1):
         num = math.fsum(weight[u] * values[u] * K[u, ell] for u in range(n + 1))
-        lam[ell] = num / (qprime**n * (qprime - 1.0) ** ell * math.comb(n, ell))
+        lam[ell] = num / (QPRIME**n * (QPRIME - 1.0) ** ell * math.comb(n, ell))
     lam0 = lam[0]
     if lam0 <= 0.0:
         raise ArithmeticError(f"lam_0 = {lam0:.3e} is not positive at (t={t}, a={a})")
     lam /= lam0
     values /= lam0
     return LPSolution(
-        n, float(d), qprime, tuple(lam), tuple(values), float(values[0]), "certificate"
+        n, float(d), QPRIME, tuple(lam), tuple(values), float(values[0]), "certificate"
     )
 
 
-def mrrw_params(n: int, d: int, qprime: float = QPRIME):
+def mrrw_params(n: int, d: int):
     """Search (t, a) giving a valid Christoffel-Darboux certificate.
 
     a sits just below min(first_root(K_t), d) and must stay above the first
@@ -194,18 +190,18 @@ def mrrw_params(n: int, d: int, qprime: float = QPRIME):
     choices, or None when no degree works.
     """
     best = None
-    root_next = first_root(n, 1, qprime)
+    root_next = first_root(n, 1)
     for t in range(1, n // 2 + 2):
         root_t = root_next
         try:
-            root_next = first_root(n, t + 1, qprime)
+            root_next = first_root(n, t + 1)
         except (ArithmeticError, ValueError):
             break
         a = min(root_t, float(d)) - 1e-6
         if a <= root_next or a <= 0.0:
             continue
         try:
-            sol = mrrw_certificate(n, d, t, a, qprime)
+            sol = mrrw_certificate(n, d, t, a)
         except ArithmeticError:
             continue
         lam = np.array(sol.lam)
@@ -216,48 +212,50 @@ def mrrw_params(n: int, d: int, qprime: float = QPRIME):
     return best
 
 
-def _cube_certificate(sol: LPSolution, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The certificate f on {0, 1, q-1}^n, and the typewriter weights there.
+def _cube_certificate(sol: LPSolution) -> tuple[np.ndarray, np.ndarray]:
+    """The certificate f on {0, 1, 4}^n, and the typewriter weights there.
 
     f = g h vanishes off this cube because the witness g does, and g on it
     is the outer product of (1, phi, phi).  The multiplier's transform is
-    q^n lam_ell (2 cos)^-ell on the ell-th frequency sphere and 0 off the
-    spheres, so it lives on {0, (q-1)/2, (q+1)/2}^n, and h on the cube is
-    the idft restricted to those rows and columns: one 3 x 3 sub-kernel per
-    axis.  On both cubes the sphere index and the typewriter weight are the
-    number of nonzero coordinates.
+    5^n lam_ell (2 cos)^-ell on the ell-th frequency sphere and 0 off the
+    spheres, so it lives on {0, 2, 3}^n, and h on the cube is the idft
+    restricted to those rows and columns: one 3 x 3 sub-kernel per axis.
+    On both cubes the sphere index and the typewriter weight are the number
+    of nonzero coordinates.  A loaded certificate is outside input, so its
+    own qprime is checked against sqrt 5.
     """
-    c = math.cos(math.pi / q)
-    if abs(sol.qprime - (1.0 + 1.0 / c)) > 1e-9:
-        raise ValueError(f"certificate qprime {sol.qprime} does not match q = {q}")
+    if abs(sol.qprime - QPRIME) > 1e-9:
+        raise ValueError(f"certificate qprime {sol.qprime} is not sqrt 5")
+    c = math.cos(math.pi / _Q)
     n = sol.n
-    # the caller goes on to q^n arrays (the dense f, or f_hat)
-    _check_size(n, q)
+    # the caller goes on to 5^n arrays (the dense f, or f_hat)
+    _check_size(n, _Q)
     count = functools.reduce(np.add.outer, (np.array([0, 1, 1], dtype=np.int8),) * n)
-    coeffs = np.array([q**n * lam / (2.0 * c) ** ell for ell, lam in enumerate(sol.lam)])
-    cube, sphere = (0, 1, q - 1), (0, (q - 1) // 2, (q + 1) // 2)
-    h = _apply_axes(coeffs[count], _idft_kernel(q)[np.ix_(cube, sphere)])
+    coeffs = np.array([_Q**n * lam / (2.0 * c) ** ell for ell, lam in enumerate(sol.lam)])
+    sphere = (0, (_Q - 1) // 2, (_Q + 1) // 2)
+    h = _apply_axes(coeffs[count], _idft_kernel(_Q)[np.ix_(_CUBE, sphere)])
     phi = 1.0 / (2.0 * c)
     g = functools.reduce(np.multiply.outer, (np.array([1.0, phi, phi]),) * n)
     return g * h, count
 
 
-def certificate_function(sol: LPSolution, q: int = 5) -> GroupFunction:
-    """Product witness times sphere multiplier, as a function on Z_q^n.
+def certificate_function(sol: LPSolution) -> GroupFunction:
+    """Product witness times sphere multiplier, as a function on Z_5^n.
 
-    Requires sol.qprime = 1 + 1/cos(pi/q), which ties the Krawtchouk
-    parameter to the alphabet.  The result f vanishes off {0, +-1}^n, is
-    <= 0 on confusable differences with >= d steps, has nonnegative
-    transform, and satisfies q^n f(0) / f_hat(0) = composite bound.
+    Requires sol.qprime = sqrt 5 = 1 + 1/cos(pi/5), which ties the
+    Krawtchouk parameter to the alphabet, and raises ValueError otherwise.
+    The result f vanishes off {0, +-1}^n, is <= 0 on confusable differences
+    with >= d steps, has nonnegative transform, and satisfies
+    5^n f(0) / f_hat(0) = composite bound.
 
     f is computed on {0, +-1}^n only (3^n words, see verify_certificate)
-    and scattered into zeros; q^n above the fourier size guard raises
+    and scattered into zeros; 5^n above the fourier size guard raises
     ValueError before anything is allocated.
     """
-    f, _ = _cube_certificate(sol, q)
-    values = np.zeros((q,) * sol.n, dtype=np.complex128)
-    values[np.ix_(*((0, 1, q - 1),) * sol.n)] = f
-    return GroupFunction(sol.n, q, values)
+    f, _ = _cube_certificate(sol)
+    values = np.zeros((_Q,) * sol.n, dtype=np.complex128)
+    values[np.ix_(*(_CUBE,) * sol.n)] = f
+    return GroupFunction(sol.n, _Q, values)
 
 
 @dataclass(frozen=True)
@@ -269,37 +267,38 @@ class CertificateReport:
     detail: str
 
 
-def verify_certificate(sol: LPSolution, q: int = 5) -> CertificateReport:
+def verify_certificate(sol: LPSolution) -> CertificateReport:
     """Pointwise check of the reconstructed certificate function.
 
     Confirms f <= 0 on the checked set, f_hat >= 0 everywhere, and that the
-    bound q^n f(0) / f_hat(0) matches the composite value lovasz * Lambda(0).
+    bound 5^n f(0) / f_hat(0) matches the composite value lovasz * Lambda(0).
     The checked set is every word of typewriter weight >= d together with
     every non-confusable word (one with a coordinate outside {0, +-1}), so
     at d = inf it is exactly the non-confusable words.  Tolerances are
-    relative to the largest magnitude in each array.
+    relative to the largest magnitude in each array.  A certificate whose
+    qprime is not sqrt 5 raises ValueError.
 
     f is built and checked on the 3^n words of {0, +-1}^n, where it lives:
     off them it is exactly 0, so the support maximum is the larger of 0 and
-    the cube's maximum.  f_hat is evaluated at all q^n words by the q x 3
+    the cube's maximum.  f_hat is evaluated at all 5^n words by the 5 x 3
     column slice of the dft kernel per axis, so only the last axis product
-    has q^n entries, and the peak memory stays under three complex q^n
-    arrays.  q^n above the fourier size guard raises ValueError before
+    has 5^n entries, and the peak memory stays under three complex 5^n
+    arrays.  5^n above the fourier size guard raises ValueError before
     anything is allocated.
     """
-    f, weight = _cube_certificate(sol, q)
+    f, weight = _cube_certificate(sol)
     fr = f.real
     scale = float(np.abs(fr).max())
     n = sol.n
     threshold = n + 1 if sol.d > n else math.ceil(sol.d)
     # max keeps its first argument on a tie, so a zero maximum is reported as +0.0
     worst = max(0.0, float(np.max(fr, where=weight >= threshold, initial=-math.inf)))
-    fhat = _apply_axes(f, _dft_kernel(q)[:, (0, 1, q - 1)]).real
+    fhat = _apply_axes(f, _dft_kernel(_Q)[:, _CUBE]).real
     tmin = float(fhat.min())
     hatscale = max(float(fhat.max()), -tmin)
     origin = (0,) * n
-    bound = q**n * fr[origin] / fhat[origin]
-    target = lovasz_bound(n, q) * sol.objective
+    bound = _Q**n * fr[origin] / fhat[origin]
+    target = lovasz_bound(n, _Q) * sol.objective
     ok = (
         worst <= 1e-9 * max(1.0, scale)
         and tmin >= -1e-9 * max(1.0, hatscale)

@@ -21,6 +21,8 @@ __all__ = [
 
 _MAX_KRAWTCHOUK_N = 64
 _EXACT_BINOMIAL_N = 60
+_BISECT_TOL = 1e-12
+_BISECT_MAX_ITER = 200
 
 
 def qary_entropy(t: float, q: float) -> float:
@@ -47,12 +49,12 @@ def log2_binomial(n: int, k: int) -> float:
     return lg / math.log(2.0)
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Root of f by bisection on [lo, hi]; final bracket width <= tol.
+def bisect_root(f, lo: float, hi: float) -> float:
+    """Root of f by bisection on [lo, hi]; the final bracket is at most 1e-12.
 
     Requires a sign change over the bracket.  Endpoints where |f| <= 1e-12
     are accepted as roots directly, which keeps callers with tangential
-    endpoint roots (no strict sign change) well defined.
+    endpoint roots (no strict sign change) well defined.  At most 200 halvings.
     """
     if not lo < hi:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
@@ -63,8 +65,8 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    for _ in range(max_iter):
-        if hi - lo <= tol:
+    for _ in range(_BISECT_MAX_ITER):
+        if hi - lo <= _BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
         fm = f(mid)

@@ -1,9 +1,9 @@
 """Dense two-phase primal simplex with Bland's rule.
 
-Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0  on a plain
-numpy tableau.  Bland's smallest-index rule is used for both the entering
-and the leaving variable, so the method cannot cycle; the iteration cap is
-only a circuit breaker for numerical breakdown.  Problem sizes here are a
+Solves  min c.x  s.t.  A_ub x <= b_ub,  x >= 0  (inequality form only) on a
+plain numpy tableau.  Bland's smallest-index rule is used for both the
+entering and the leaving variable, so the method cannot cycle; the iteration
+cap is only a circuit breaker for numerical breakdown.  Problem sizes here are a
 few hundred rows at most, so no effort is spent on sparsity or pricing.
 """
 
@@ -16,6 +16,8 @@ import numpy as np
 __all__ = ["SimplexResult", "simplex_solve"]
 
 _FEAS_TOL = 1e-7
+_TOL = 1e-9  # pivot and pricing tolerance
+_MAX_ITER = 20000  # pivots per phase sweep
 
 
 @dataclass(frozen=True)
@@ -36,13 +38,13 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(T, basis, allowed, tol, max_iter):
+def _iterate(T, basis, allowed):
     """Run Bland pivots until optimal/unbounded, return (status, count)."""
     m = T.shape[0] - 1
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         enter = -1
         for j in allowed:
-            if T[-1, j] < -tol:
+            if T[-1, j] < -_TOL:
                 enter = j
                 break
         if enter < 0:
@@ -51,7 +53,7 @@ def _iterate(T, basis, allowed, tol, max_iter):
         best = np.inf
         for i in range(m):
             a = T[i, enter]
-            if a > tol:
+            if a > _TOL:
                 ratio = T[i, -1] / a
                 if ratio < best - 1e-12 or (
                     ratio <= best + 1e-12 and (leave < 0 or basis[i] < basis[leave])
@@ -61,52 +63,25 @@ def _iterate(T, basis, allowed, tol, max_iter):
         if leave < 0:
             return "unbounded", it
         _pivot(T, basis, leave, enter)
-    return "numeric-failure", max_iter
+    return "numeric-failure", _MAX_ITER
 
 
-def simplex_solve(
-    c,
-    A_ub=None,
-    b_ub=None,
-    A_eq=None,
-    b_eq=None,
-    tol: float = 1e-9,
-    max_iter: int = 20000,
-) -> SimplexResult:
-    """Two-phase simplex for min c.x, A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
+def simplex_solve(c, A_ub, b_ub) -> SimplexResult:
+    """Two-phase simplex for min c.x, A_ub x <= b_ub, x >= 0."""
     c = np.asarray(c, dtype=float)
     nstruct = c.size
-    rows = []
-    rhs = []
-    n_ub = 0
-    if A_ub is not None:
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
-        n_ub = A_ub.shape[0]
-        rows.append(A_ub)
-        rhs.append(b_ub)
-    if A_eq is not None:
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-        rows.append(A_eq)
-        rhs.append(b_eq)
-    if not rows:
-        raise ValueError("need at least one constraint")
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
+    A = np.atleast_2d(np.asarray(A_ub, dtype=float))
+    b = np.atleast_1d(np.asarray(b_ub, dtype=float))
     m = A.shape[0]
     if A.shape[1] != nstruct:
         raise ValueError(f"constraint width {A.shape[1]} != len(c) = {nstruct}")
 
-    # slack columns for the inequality block, then one artificial per row
-    slack = np.zeros((m, n_ub))
-    for i in range(n_ub):
-        slack[i, i] = 1.0
-    full = np.hstack([A, slack])
+    # one slack column per row, then one artificial per row
+    full = np.hstack([A, np.eye(m)])
     neg = b < 0
     full[neg] *= -1.0
     b = np.where(neg, -b, b)
-    nvar = nstruct + n_ub
+    nvar = nstruct + m
     art = np.eye(m)
     T = np.zeros((m + 1, nvar + m + 1))
     T[:m, :nvar] = full
@@ -119,7 +94,7 @@ def simplex_solve(
     for i in range(m):
         T[-1] -= T[i]
     T[-1, nvar : nvar + m] = 0.0  # keep priced-out zeros exact
-    status, it1 = _iterate(T, basis, range(nvar + m), tol, max_iter)
+    status, it1 = _iterate(T, basis, range(nvar + m))
     if status != "optimal":
         return SimplexResult("numeric-failure", None, None, it1)
     if -T[-1, -1] > _FEAS_TOL:
@@ -129,7 +104,7 @@ def simplex_solve(
     for i in range(m):
         if basis[i] >= nvar:
             for j in range(nvar):
-                if abs(T[i, j]) > tol:
+                if abs(T[i, j]) > _TOL:
                     _pivot(T, basis, i, j)
                     break
 
@@ -148,7 +123,7 @@ def simplex_solve(
     cext[:nstruct] = c
     total = it1
     for _ in range(5):
-        status, it2 = _iterate(T, basis, range(nvar), tol, max_iter)
+        status, it2 = _iterate(T, basis, range(nvar))
         total += it2
         if status != "optimal":
             return SimplexResult(status, None, None, total)
@@ -161,7 +136,7 @@ def simplex_solve(
         if xb.min() < -1e-7 * max(1.0, float(np.abs(xb).max())):
             break
         reduced = cext - A0.T @ duals
-        if reduced[:nvar].min() >= -tol * max(1.0, float(np.abs(c).max())):
+        if reduced[:nvar].min() >= -_TOL * max(1.0, float(np.abs(c).max())):
             x = np.zeros(nvar + m)
             x[basis] = np.maximum(xb, 0.0)
             xs = x[:nstruct]

@@ -1,5 +1,8 @@
 """Command line front end: formats, determinism, exit codes."""
 
+import hashlib
+import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -64,6 +67,20 @@ def test_expurgated_table(tmp_path):
 
 def test_expurgated_rejects_empty_window():
     assert main(["expurgated", "--rho-min", "2", "--rho-max", "1"]) == 1
+
+
+@pytest.mark.parametrize("flag", ["--rho-min", "--rho-max"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_expurgated_rejects_a_non_finite_window(flag, value, capsys):
+    assert main(["expurgated", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not finite" in captured.err and value in captured.err
+
+
+def test_curves_rejects_a_nan_rate(capsys):
+    assert main(["curves", "--rmin", "nan"]) == 1
+    assert "error: rate nan outside" in capsys.readouterr().err
 
 
 def test_gv_table(tmp_path):
@@ -246,3 +263,36 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _paper_cli_jobs(monkeypatch):
+    # the benchmark's own argument lists, loaded read-only
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.paper_cli_jobs
+
+
+def test_readme_commands_match_the_benchmark_goldens(tmp_path, monkeypatch, capsys):
+    seed = 0
+    jobs = _paper_cli_jobs(monkeypatch)(seed)
+    goldens = json.loads((PERFBENCH / "goldens.json").read_text())["paper_cli"]
+    assert sorted(args[0] for args in jobs) == sorted(goldens)
+    monkeypatch.chdir(tmp_path)
+    for args in jobs:
+        sub = args[0]
+        golden = goldens[sub]
+        assert main(args) == 0, sub
+        out = capsys.readouterr().out.encode()
+        if sub == "maxcode":
+            (tmp_path / "code.txt").write_bytes(out)
+        if "stdout_template" in golden:
+            assert out == golden["stdout_template"].replace("{seed}", str(seed)).encode(), sub
+        else:
+            assert hashlib.sha256(out).hexdigest() == golden["stdout"], sub
+        for name, digest in golden.get("files", {}).items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

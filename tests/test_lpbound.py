@@ -270,6 +270,20 @@ def test_certificate_roundtrip(tmp_path):
     assert load_certificate(path).d == INF
 
 
+def test_certificates_off_sqrt5_are_refused(tmp_path):
+    # a loaded certificate is outside input; 1 + 1/cos(pi/7) is the q = 7 value
+    path = tmp_path / "cert.txt"
+    save_certificate(solve_distance_lp(3, 2), path)
+    text = path.read_text()
+    assert "qprime 2.2360679774997898\n" in text
+    path.write_text(text.replace("qprime 2.2360679774997898", "qprime 2.1099162641747427"))
+    doctored = load_certificate(path)
+    for check in (certificate_function, verify_certificate):
+        with pytest.raises(ValueError, match=r"qprime 2\.1099162641747427 is not sqrt 5"):
+            check(doctored)
+    assert verify_certificate(dataclasses.replace(doctored, qprime=QPRIME)).ok
+
+
 # (size, lex-first witness) of every (n, d) with n <= 3 and d <= 2n or inf,
 # pinned so that a faster search keeps them; d = 1 keeps every word
 _MAX_CODES = {
