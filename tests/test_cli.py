@@ -268,18 +268,14 @@ def test_missing_subcommand_is_a_usage_error():
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _paper_cli_jobs(monkeypatch):
+def test_readme_commands_match_the_benchmark_goldens(tmp_path, monkeypatch, capsys):
     # the benchmark's own argument lists, loaded read-only
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    return run.paper_cli_jobs
-
-
-def test_readme_commands_match_the_benchmark_goldens(tmp_path, monkeypatch, capsys):
     seed = 0
-    jobs = _paper_cli_jobs(monkeypatch)(seed)
+    jobs = run.paper_cli_jobs(seed)
     goldens = json.loads((PERFBENCH / "goldens.json").read_text())["paper_cli"]
     assert sorted(args[0] for args in jobs) == sorted(goldens)
     monkeypatch.chdir(tmp_path)
