@@ -84,11 +84,18 @@ def _normalize_d(n: int, d) -> float:
     return d
 
 
+@functools.lru_cache(maxsize=None)
 def _kraw_table(n: int) -> np.ndarray:
-    """K[u, ell] = K_ell(u) for u, ell = 0..n."""
-    return np.array(
+    """K[u, ell] = K_ell(u) for u, ell = 0..n, built once per n.
+
+    Every caller shares the cached array, so it is read-only.  krawtchouk
+    refuses n > 64, so the cache holds at most 64 tables (0.75 MB).
+    """
+    K = np.array(
         [[krawtchouk(n, ell, u, QPRIME) for ell in range(n + 1)] for u in range(n + 1)]
     )
+    K.setflags(write=False)
+    return K
 
 
 def solve_distance_lp(n: int, d) -> LPSolution:
@@ -172,7 +179,8 @@ def mrrw_certificate(n: int, d: int, t: int, a: float) -> LPSolution:
         num = math.fsum(weight[u] * values[u] * K[u, ell] for u in range(n + 1))
         lam[ell] = num / (QPRIME**n * (QPRIME - 1.0) ** ell * math.comb(n, ell))
     lam0 = lam[0]
-    if lam0 <= 0.0:
+    # written so that a NaN lam_0 (a = u gives 0/0 in values) is refused too
+    if not lam0 > 0.0:
         raise ArithmeticError(f"lam_0 = {lam0:.3e} is not positive at (t={t}, a={a})")
     lam /= lam0
     values /= lam0

@@ -79,18 +79,26 @@ def bisect_root(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def real_binomial(u: float, j: int) -> float:
-    """C(u, j) for real u via falling factorial; exact comb for integer u."""
-    if j < 0:
+def _binomial_row(u: float, top: int) -> list[float]:
+    """[C(u, j) for j = 0..top]: exact comb for integer u >= 0, else one
+    running falling factorial u (u-1) ... (u-j+1) divided by j!."""
+    if top < 0:
         raise ValueError("lower index must be nonnegative")
     if isinstance(u, int) or float(u).is_integer():
         ui = int(round(u))
         if 0 <= ui:
-            return float(math.comb(ui, j)) if j <= ui else 0.0
+            return [float(math.comb(ui, j)) if j <= ui else 0.0 for j in range(top + 1)]
+    row = [1.0]
     p = 1.0
-    for i in range(j):
-        p *= u - i
-    return p / math.factorial(j)
+    for j in range(1, top + 1):
+        p *= u - (j - 1)
+        row.append(p / math.factorial(j))
+    return row
+
+
+def real_binomial(u: float, j: int) -> float:
+    """C(u, j) for real u via falling factorial; exact comb for integer u."""
+    return _binomial_row(u, j)[j]
 
 
 def krawtchouk(n: int, ell: int, u: float, qprime: float) -> float:
@@ -104,10 +112,12 @@ def krawtchouk(n: int, ell: int, u: float, qprime: float) -> float:
         raise ValueError(f"n={n} outside supported range [0, {_MAX_KRAWTCHOUK_N}]")
     if not 0 <= ell <= n:
         raise ValueError(f"degree {ell} outside [0, {n}]")
+    cu_row = _binomial_row(u, ell)
+    cn_row = _binomial_row(n - u, ell)
     terms = []
     for j in range(ell + 1):
-        cu = real_binomial(u, j)
-        cn = real_binomial(n - u, ell - j)
+        cu = cu_row[j]
+        cn = cn_row[ell - j]
         if cu == 0.0 or cn == 0.0:
             continue
         terms.append((-1.0) ** j * (qprime - 1.0) ** (ell - j) * cu * cn)

@@ -1,5 +1,6 @@
 """Distance LP, explicit multiplier certificates, and exact small codes."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from typewriter_bounds import lpbound
 from typewriter_bounds.construction import word_weight
 from typewriter_bounds.fourier import (
     GroupFunction,
@@ -21,6 +23,7 @@ from typewriter_bounds.fourier import (
 )
 from typewriter_bounds.lpbound import (
     QPRIME,
+    _kraw_table,
     _max_clique_with_zero,
     certificate_function,
     composite_bound,
@@ -114,6 +117,37 @@ def test_mrrw_certificate_frozen_parameters():
         assert values[d:].max() < 1e-12
         # the explicit construction can only be weaker than the LP optimum
         assert cert.objective >= solve_distance_lp(n, d).objective
+    # the top of the grid, exactly: the certificate path changes no bit
+    assert mrrw_params(64, 20) == (7, 19.999999, 17620213990.234165)
+
+
+def test_mrrw_certificate_refuses_a_nan_lam0():
+    # a = u makes values[u] = 0/0, so lam_0 is NaN, which is not a certificate
+    with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="nan"):
+        mrrw_certificate(10, 3, 2, 2.0)
+
+
+def test_kraw_table_is_built_once_and_read_only(monkeypatch):
+    table = _kraw_table(6)
+    assert _kraw_table(6) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    _kraw_table.cache_clear()
+    calls = collections.Counter()
+
+    def counting_krawtchouk(n, ell, u, qprime):
+        if isinstance(u, int):
+            calls[n, ell, u] += 1
+        return krawtchouk(n, ell, u, qprime)
+
+    monkeypatch.setattr(lpbound, "krawtchouk", counting_krawtchouk)
+    n, d = 30, 9
+    solve_distance_lp(n, d)
+    composite_bound(n, d)
+    t, a, _ = mrrw_params(n, d)
+    mrrw_certificate(n, d, t, a)
+    assert sum(calls.values()) == (n + 1) ** 2
+    assert set(calls.values()) == {1}
 
 
 def test_composite_bound_factorisation():

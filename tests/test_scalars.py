@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from typewriter_bounds.scalars import (
     bisect_root,
@@ -99,3 +101,50 @@ def test_krawtchouk_generating_sum_at_zero():
     n = 6
     total = math.fsum(krawtchouk(n, ell, 0, q) for ell in range(n + 1))
     assert total == pytest.approx(q**n, rel=1e-12)
+
+
+def _falling_binomial(u, j):
+    """C(u, j) one value at a time, as real_binomial computed it before rows."""
+    if isinstance(u, int) or float(u).is_integer():
+        ui = int(round(u))
+        if 0 <= ui:
+            return float(math.comb(ui, j)) if j <= ui else 0.0
+    p = 1.0
+    for i in range(j):
+        p *= u - i
+    return p / math.factorial(j)
+
+
+def _scan_grid(top):
+    # the points first_root visits, accumulated exactly as it does
+    grid, u = [0.0], 0.05
+    while u <= top + 0.05:
+        grid.append(u)
+        u += 0.05
+    return grid
+
+
+_QPRIMES = (1.0 + 1.0 / math.cos(math.pi / 5.0), 1.0 + 1.0 / math.cos(math.pi / 7.0), 2.0, 3.0, 5.0)
+
+
+@given(
+    n=st.integers(0, 64),
+    ell_share=st.floats(0.0, 1.0),
+    u=st.one_of(
+        st.integers(-70, 70),
+        st.floats(-70.0, 70.0),
+        st.sampled_from(_scan_grid(64)),
+    ),
+    qprime=st.sampled_from(_QPRIMES),
+)
+def test_krawtchouk_is_the_termwise_sum_bit_for_bit(n, ell_share, u, qprime):
+    ell = round(ell_share * n)
+    terms = []
+    for j in range(ell + 1):
+        cu = _falling_binomial(u, j)
+        cn = _falling_binomial(n - u, ell - j)
+        assert real_binomial(u, j) == cu
+        if cu == 0.0 or cn == 0.0:
+            continue
+        terms.append((-1.0) ** j * (qprime - 1.0) ** (ell - j) * cu * cn)
+    assert krawtchouk(n, ell, u, qprime) == math.fsum(terms)
