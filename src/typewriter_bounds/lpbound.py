@@ -15,6 +15,7 @@ bound's q = 5 Lovasz factor bounds nothing at any other q'.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .fourier import (
     _idft_kernel,
     lovasz_bound,
 )
-from .scalars import bisect_root, krawtchouk
+from .scalars import _MAX_KRAWTCHOUK_N, bisect_root, krawtchouk
 from .simplex import simplex_solve
 
 __all__ = [
@@ -88,12 +89,29 @@ def _normalize_d(n: int, d) -> float:
 def _kraw_table(n: int) -> np.ndarray:
     """K[u, ell] = K_ell(u) for u, ell = 0..n, built once per n.
 
-    Every caller shares the cached array, so it is read-only.  krawtchouk
-    refuses n > 64, so the cache holds at most 64 tables (0.75 MB).
+    Row u is the term plane T[ell, j] = (-1)^j (q'-1)^(ell-j) C(u, j)
+    C(n-u, ell-j), built with numpy in the product order of
+    scalars.krawtchouk, and each row's nonzero terms (a contiguous run of j)
+    are summed by math.fsum, so every entry equals the scalar evaluator's
+    bit for bit.  Every caller shares the cached array, so it is read-only.
+    n > 64 is refused as krawtchouk refuses it, so the cache holds at most
+    64 tables (0.75 MB).
     """
-    K = np.array(
-        [[krawtchouk(n, ell, u, QPRIME) for ell in range(n + 1)] for u in range(n + 1)]
-    )
+    if n < 0 or n > _MAX_KRAWTCHOUK_N:
+        raise ValueError(f"n={n} outside supported range [0, {_MAX_KRAWTCHOUK_N}]")
+    idx = np.arange(n + 1)
+    gap = np.maximum(idx[:, None] - idx, 0)  # ell - j where j <= ell
+    power = np.array([(QPRIME - 1.0) ** k for k in range(n + 1)])
+    signed = np.where(idx % 2 == 1, -1.0, 1.0) * power[gap]
+    comb = np.array([[float(math.comb(m, j)) for j in range(n + 1)] for m in range(n + 1)])
+    K = np.empty((n + 1, n + 1))
+    for u in range(n + 1):
+        rows = (signed * comb[u] * comb[n - u][gap]).tolist()
+        # C(u, j) C(n-u, ell-j) is nonzero exactly for these j
+        K[u] = [
+            math.fsum(row[max(0, ell - n + u) : min(u, ell) + 1])
+            for ell, row in enumerate(rows)
+        ]
     K.setflags(write=False)
     return K
 
@@ -136,22 +154,53 @@ def composite_bound(n: int, d) -> float:
     return lovasz_bound(n, _Q) * sol.objective
 
 
+def _scan_grid() -> tuple:
+    """u = 0, 0.05, 0.10, ... accumulated by += 0.05, up to 64.05."""
+    grid = [0.0]
+    top = _MAX_KRAWTCHOUK_N + 0.05
+    while grid[-1] + 0.05 <= top:
+        grid.append(grid[-1] + 0.05)
+    return tuple(grid)
+
+
+_GRID = _scan_grid()
+
+
 def first_root(n: int, ell: int) -> float:
-    """Smallest positive zero of u -> K_ell(u), by scan plus bisection."""
+    """Smallest positive zero of u -> K_ell(u), bracketed on a 0.05 grid.
+
+    The grid is that of a scan from u = 0 in steps of += 0.05.  The smallest
+    eigenvalue r of the ell x ell Jacobi matrix of the three-term recurrence
+    (Golub and Welsch, 1969) picks the bracket: the grid neighbours next to
+    r with K_ell > 0 on the left and not > 0 on the right.  K_ell(0) > 0 and
+    the zeros of a polynomial orthogonal on the lattice 0..n are more than 1
+    apart, so this is the scan's first sign change.  The root is the right
+    end on an exact 0, else bisect_root on the bracket, unchanged: the
+    eigenvalue decides only the bracket, so every bit is the scan's.
+    """
     if ell < 1:
         raise ValueError("K_0 has no root")
+    if ell > n:
+        raise ValueError(f"degree {ell} outside [1, {n}]")
+    if n > _MAX_KRAWTCHOUK_N:
+        raise ValueError(f"n={n} outside supported range [0, {_MAX_KRAWTCHOUK_N}]")
+    levels = np.arange(ell)
+    diagonal = ((QPRIME - 1.0) * (n - levels) + levels) / QPRIME
+    off = np.sqrt(levels[1:] * (QPRIME - 1.0) * (n - levels[:-1])) / QPRIME
+    jacobi = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+    r = float(np.linalg.eigvalsh(jacobi)[0])
     f = lambda u: krawtchouk(n, ell, u, QPRIME)
-    prev_u, prev_v = 0.0, f(0.0)
-    u = 0.05
-    while u <= n + 0.05:
-        v = f(u)
-        if v == 0.0:
-            return u
-        if (prev_v > 0.0) != (v > 0.0):
-            return bisect_root(f, prev_u, u)
-        prev_u, prev_v = u, v
-        u += 0.05
-    raise ArithmeticError(f"no sign change found for K_{ell} on [0, {n}]")
+    last = bisect.bisect_right(_GRID, n + 0.05) - 1
+    k = min(max(bisect.bisect_left(_GRID, r), 1), last)
+    while k > 1 and not f(_GRID[k - 1]) > 0.0:
+        k -= 1
+    while (v := f(_GRID[k])) > 0.0:
+        k += 1
+        if k > last:
+            raise ArithmeticError(f"no sign change found for K_{ell} on [0, {n}]")
+    if v == 0.0:
+        return _GRID[k]
+    return bisect_root(f, _GRID[k - 1], _GRID[k])
 
 
 def mrrw_certificate(n: int, d: int, t: int, a: float) -> LPSolution:
@@ -167,6 +216,9 @@ def mrrw_certificate(n: int, d: int, t: int, a: float) -> LPSolution:
         raise ValueError(f"degree {t} outside [1, {n - 1}]")
     if not 0.0 < a < d:
         raise ValueError(f"reference point {a} outside (0, {d})")
+    if float(a).is_integer():
+        # a = u would make values[u] = 0/0
+        raise ValueError(f"reference point {a} is an integer")
     kta = krawtchouk(n, t, a, QPRIME)
     kt1a = krawtchouk(n, t + 1, a, QPRIME)
     K = _kraw_table(n)
@@ -174,12 +226,14 @@ def mrrw_certificate(n: int, d: int, t: int, a: float) -> LPSolution:
         [(kta * K[u, t + 1] - kt1a * K[u, t]) ** 2 / (a - u) for u in range(n + 1)]
     )
     weight = np.array([(QPRIME - 1.0) ** u * math.comb(n, u) for u in range(n + 1)])
-    lam = np.empty(n + 1)
-    for ell in range(n + 1):
-        num = math.fsum(weight[u] * values[u] * K[u, ell] for u in range(n + 1))
-        lam[ell] = num / (QPRIME**n * (QPRIME - 1.0) ** ell * math.comb(n, ell))
+    columns = ((weight * values)[:, None] * K).T.tolist()
+    lam = np.array(
+        [
+            math.fsum(column) / (QPRIME**n * (QPRIME - 1.0) ** ell * math.comb(n, ell))
+            for ell, column in enumerate(columns)
+        ]
+    )
     lam0 = lam[0]
-    # written so that a NaN lam_0 (a = u gives 0/0 in values) is refused too
     if not lam0 > 0.0:
         raise ArithmeticError(f"lam_0 = {lam0:.3e} is not positive at (t={t}, a={a})")
     lam /= lam0

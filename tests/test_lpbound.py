@@ -1,17 +1,16 @@
 """Distance LP, explicit multiplier certificates, and exact small codes."""
 
-import collections
 import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typewriter_bounds import lpbound
 from typewriter_bounds.construction import word_weight
 from typewriter_bounds.fourier import (
     GroupFunction,
@@ -36,7 +35,7 @@ from typewriter_bounds.lpbound import (
     solve_distance_lp,
     verify_certificate,
 )
-from typewriter_bounds.scalars import krawtchouk
+from typewriter_bounds.scalars import bisect_root, krawtchouk
 
 INF = math.inf
 
@@ -99,6 +98,46 @@ def test_first_root_of_degree_one():
     assert krawtchouk(10, 1, root, QPRIME) == pytest.approx(0.0, abs=1e-9)
 
 
+def _scan_first_root(n, ell):
+    """The former first_root: a 0.05-step scan from u = 0, then bisection."""
+    f = lambda u: krawtchouk(n, ell, u, QPRIME)
+    prev_u, prev_v = 0.0, f(0.0)
+    u = 0.05
+    while u <= n + 0.05:
+        v = f(u)
+        if v == 0.0:
+            return u
+        if (prev_v > 0.0) != (v > 0.0):
+            return bisect_root(f, prev_u, u)
+        prev_u, prev_v = u, v
+        u += 0.05
+    raise ArithmeticError(f"no sign change found for K_{ell} on [0, {n}]")
+
+
+def test_first_root_matches_the_scan_bit_for_bit():
+    # every degree mrrw_params visits: the eigenvalue only picks the bracket
+    for n in range(1, 65):
+        for ell in range(1, min(n, n // 2 + 2) + 1):
+            assert first_root(n, ell) == _scan_first_root(n, ell), (n, ell)
+    for n in (1, 10, 64):
+        for ell in (0, n + 1):
+            with pytest.raises(ValueError):
+                first_root(n, ell)
+    with pytest.raises(ValueError):
+        first_root(65, 1)
+
+
+@pytest.mark.parametrize("shift", [-0.2, 0.2])
+def test_first_root_walks_to_the_bracket_from_a_shifted_eigenvalue(monkeypatch, shift):
+    # zeros are more than 1 apart, so an eigenvalue 0.2 off still meets the
+    # same bracket, from the left or from the right
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + shift)
+    for n in (1, 10, 33, 64):
+        for ell in range(1, min(n, n // 2 + 2) + 1):
+            assert first_root(n, ell) == _scan_first_root(n, ell), (n, ell)
+
+
 def test_mrrw_certificate_frozen_parameters():
     frozen = {
         (10, 3): (2, 806.7310904694853),
@@ -122,32 +161,33 @@ def test_mrrw_certificate_frozen_parameters():
 
 
 def test_mrrw_certificate_refuses_a_nan_lam0():
-    # a = u makes values[u] = 0/0, so lam_0 is NaN, which is not a certificate
-    with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="nan"):
-        mrrw_certificate(10, 3, 2, 2.0)
+    # an integer a = u would make values[u] = 0/0 and lam_0 NaN; it is refused
+    # up front, before numpy can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for a in (2, 2.0):
+            with pytest.raises(ValueError, match="integer"):
+                mrrw_certificate(10, 3, 2, a)
 
 
-def test_kraw_table_is_built_once_and_read_only(monkeypatch):
+def test_kraw_table_is_built_once_and_read_only():
     table = _kraw_table(6)
     assert _kraw_table(6) is table
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
     _kraw_table.cache_clear()
-    calls = collections.Counter()
-
-    def counting_krawtchouk(n, ell, u, qprime):
-        if isinstance(u, int):
-            calls[n, ell, u] += 1
-        return krawtchouk(n, ell, u, qprime)
-
-    monkeypatch.setattr(lpbound, "krawtchouk", counting_krawtchouk)
     n, d = 30, 9
     solve_distance_lp(n, d)
     composite_bound(n, d)
     t, a, _ = mrrw_params(n, d)
     mrrw_certificate(n, d, t, a)
-    assert sum(calls.values()) == (n + 1) ** 2
-    assert set(calls.values()) == {1}
+    assert _kraw_table.cache_info().misses == 1
+    for n in (0, 1, 2, 3, 7, 22, 45, 64):
+        K = _kraw_table(n)
+        for u, ell in itertools.product(range(n + 1), repeat=2):
+            assert K[u, ell] == krawtchouk(n, ell, u, QPRIME), (n, u, ell)
+    with pytest.raises(ValueError):
+        _kraw_table(65)
 
 
 def test_composite_bound_factorisation():

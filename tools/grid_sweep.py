@@ -8,8 +8,9 @@ the composite bound (null where the LP is not optimal), the MRRW parameters
 (t, a, objective) and that certificate's multipliers and values (null where
 no degree works).  Every float is written by float.hex(), so two sweeps
 agree line for line exactly when every result is bit-identical; compare
-them with diff.  The LP status counts go to stderr.  The package is
-imported from the src directory beside this script.
+them with diff.  The LP status counts and the elapsed seconds go to
+stderr.  The package is imported from the src directory beside this
+script.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import collections
 import json
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -55,6 +57,7 @@ def sweep_pair(n: int, d: int) -> dict:
 
 
 def main() -> None:
+    start = time.perf_counter()
     counts = collections.Counter()
     for n in range(2, 65):
         for k in range(1, 6):
@@ -63,6 +66,7 @@ def main() -> None:
             print(json.dumps(record), flush=True)
     for status, count in sorted(counts.items()):
         print(f"{status}: {count}", file=sys.stderr)
+    print(f"elapsed: {time.perf_counter() - start:.1f} s", file=sys.stderr)
 
 
 if __name__ == "__main__":
