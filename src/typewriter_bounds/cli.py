@@ -146,12 +146,12 @@ def _cmd_lp(args) -> int:
         sol = lpbound.solve_distance_lp(args.n, args.d)
     if sol.status not in ("optimal", "certificate"):
         raise ArithmeticError(f"distance LP failed with status {sol.status}")
-    lov = lpbound.lovasz_bound(args.n, 5)
+    lov = lpbound.lovasz_bound(args.n)
     out = [
         f"# {_stamp('lp', n=args.n, d=args.d, mrrw=args.mrrw)}",
         f"n {args.n}",
         f"d {'inf' if args.d == math.inf else args.d}",
-        f"qprime {_fmt(sol.qprime)}",
+        f"qprime {_fmt(lpbound.QPRIME)}",
         f"status {sol.status}",
         f"objective {_fmt(sol.objective)}",
         f"lovasz {_fmt(lov)}",

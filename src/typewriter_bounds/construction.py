@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scalars import bisect_root, qary_entropy
+from .scalars import LOG5, bisect_root, qary_entropy
 
 __all__ = [
     "INF",
@@ -43,8 +43,6 @@ __all__ = [
 ]
 
 INF = math.inf
-
-LOG5 = math.log2(5.0)
 
 _ENUM_GUARD = 10**7
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scalars import bisect_root, qary_entropy
+from .scalars import LOG5, QPRIME, bisect_root, qary_entropy
 
 __all__ = [
     "ZERO_ERROR_CAPACITY",
@@ -41,14 +41,15 @@ __all__ = [
     "CURVE_COLUMNS",
 ]
 
-LOG5 = math.log2(5.0)
 ZERO_ERROR_CAPACITY = 0.5 * LOG5
 CAPACITY = LOG5 - 1.0
 
 # slope of the GV-style bound: 4/3 - H2(1/3)
 GV_SLOPE = 4.0 / 3.0 - qary_entropy(1.0 / 3.0, 2.0)
 # scaling that moves the straight line onto the LP value at the zero-error rate
-SL_STAR_FACTOR = 1.0 - 1.0 / math.sqrt(5.0)
+SL_STAR_FACTOR = 1.0 - 1.0 / QPRIME
+# the Plotkin point: the end of r_lp1's domain and e_lp1's value at log2 sqrt5
+_PLOTKIN = (QPRIME - 1.0) / QPRIME
 
 _EDGE_TOL = 1e-12
 
@@ -106,24 +107,23 @@ def e_gv_star(r: float) -> float:
     return e_rex(r)
 
 
-def r_lp1(q: float, delta: float) -> float:
-    """First linear-programming rate bound at alphabet parameter q.
+def r_lp1(delta: float) -> float:
+    """First linear-programming rate bound at alphabet parameter q = sqrt 5.
 
-    H_q(((q-1) - (q-2)*delta - 2*sqrt((q-1)*delta*(1-delta))) / q), valid for
-    delta in [0, (q-1)/q].  The entropy argument must land in [0, 1]; small
-    negative excursions from rounding are clamped to 0.
+    H_q(((q-1) - (q-2)*delta - 2*sqrt((q-1)*delta*(1-delta))) / q) for delta
+    in [0, (q-1)/q], where it falls from log2 q to 0.  Past the Plotkin point
+    (q-1)/q the formula's other branch rises again, so such delta are
+    refused.  Small negative entropy arguments from rounding are clamped
+    to 0.
     """
-    if q <= 1.0:
-        raise ValueError(f"alphabet parameter {q!r} must exceed 1")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta {delta!r} outside [0, 1]")
+    if not 0.0 <= delta <= _PLOTKIN:
+        raise ValueError(f"delta {delta!r} outside [0, {_PLOTKIN!r}]")
+    q = QPRIME
     arg = ((q - 1.0) - (q - 2.0) * delta - 2.0 * math.sqrt((q - 1.0) * delta * (1.0 - delta))) / q
     if arg < 0.0:
         if arg < -1e-9:
             raise ValueError(f"entropy argument {arg!r} outside [0, 1] for delta={delta!r}")
         arg = 0.0
-    if arg > 1.0:
-        raise ValueError(f"entropy argument {arg!r} outside [0, 1] for delta={delta!r}")
     return qary_entropy(arg, q)
 
 
@@ -135,14 +135,13 @@ def e_lp1(r: float) -> float:
     returned exactly: near them the defining map is too flat in E for a
     residual-driven search to pin the value to full precision.
     """
-    q = math.sqrt(5.0)
-    e_max = 1.0 - 1.0 / q
+    e_max = _PLOTKIN
     r = _check_rate(r, ZERO_ERROR_CAPACITY, LOG5)
     if abs(r - ZERO_ERROR_CAPACITY) <= _EDGE_TOL:
         return e_max
     if abs(r - LOG5) <= _EDGE_TOL:
         return 0.0
-    return bisect_root(lambda e: ZERO_ERROR_CAPACITY + r_lp1(q, e) - r, 0.0, e_max)
+    return bisect_root(lambda e: ZERO_ERROR_CAPACITY + r_lp1(e) - r, 0.0, e_max)
 
 
 CURVE_COLUMNS = ("E_rex", "E_sl", "E_sl_star", "E_gv_star", "E_lp1")

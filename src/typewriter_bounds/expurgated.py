@@ -21,6 +21,7 @@ import numpy as np
 
 from .construction import INF, word_distance
 from .lpbound import max_code
+from .scalars import LOG5
 
 __all__ = [
     "bhattacharyya_matrix",
@@ -34,8 +35,6 @@ __all__ = [
     "e_ex2",
     "zero_error_code2",
 ]
-
-LOG5 = math.log2(5.0)
 
 
 def _check_rho(rho: float) -> None:
@@ -122,6 +121,8 @@ def uniform_distribution(n: int) -> InputDistribution:
 def code_distribution(code) -> InputDistribution:
     """Uniform distribution on the given words."""
     words = [tuple(int(c) for c in w) for w in code]
+    if not words:
+        raise ValueError("empty code")
     if len(set(words)) != len(words):
         raise ValueError("repeated codewords")
     p = Fraction(1, len(words))

@@ -25,14 +25,16 @@ import numpy as np
 from .construction import INF, word_distance
 from .curves import _fmt
 from .fourier import (
+    _COS,
+    _DFT_KERNEL,
+    _IDFT_KERNEL,
+    _Q,
     GroupFunction,
     _apply_axes,
     _check_size,
-    _dft_kernel,
-    _idft_kernel,
     lovasz_bound,
 )
-from .scalars import _MAX_KRAWTCHOUK_N, bisect_root, krawtchouk
+from .scalars import _MAX_KRAWTCHOUK_N, _POWERS, QPRIME, bisect_root, krawtchouk
 from .simplex import simplex_solve
 
 __all__ = [
@@ -51,8 +53,6 @@ __all__ = [
     "load_certificate",
 ]
 
-QPRIME = 1.0 + 1.0 / math.cos(math.pi / 5.0)  # equals sqrt 5
-_Q = 5
 _CUBE = (0, 1, _Q - 1)  # the symbols where the certificate lives
 
 
@@ -60,15 +60,14 @@ _CUBE = (0, 1, _Q - 1)  # the symbols where the certificate lives
 class LPSolution:
     """Multiplier certificate for one (n, d) pair.
 
-    lam[ell] are the Krawtchouk multipliers with lam[0] = 1, Lambda[u] the
-    resulting polynomial values, objective = Lambda[0].  status is
-    "optimal" for simplex output, "certificate" for the explicit
-    Christoffel-Darboux construction, or a simplex failure string.
+    lam[ell] are the multipliers of the Krawtchouk polynomials at q' = sqrt 5,
+    with lam[0] = 1, Lambda[u] the resulting polynomial values, objective =
+    Lambda[0].  status is "optimal" for simplex output, "certificate" for the
+    explicit Christoffel-Darboux construction, or a simplex failure string.
     """
 
     n: int
     d: float
-    qprime: float
     lam: tuple
     Lambda: tuple
     objective: float
@@ -101,7 +100,7 @@ def _kraw_table(n: int) -> np.ndarray:
         raise ValueError(f"n={n} outside supported range [0, {_MAX_KRAWTCHOUK_N}]")
     idx = np.arange(n + 1)
     gap = np.maximum(idx[:, None] - idx, 0)  # ell - j where j <= ell
-    power = np.array([(QPRIME - 1.0) ** k for k in range(n + 1)])
+    power = np.array(_POWERS[: n + 1])
     signed = np.where(idx % 2 == 1, -1.0, 1.0) * power[gap]
     comb = np.array([[float(math.comb(m, j)) for j in range(n + 1)] for m in range(n + 1)])
     K = np.empty((n + 1, n + 1))
@@ -129,21 +128,21 @@ def solve_distance_lp(n: int, d) -> LPSolution:
     K = _kraw_table(n)
     if d == INF:
         lam = (1.0,) + (0.0,) * n
-        return LPSolution(n, d, QPRIME, lam, tuple(K[:, 0]), 1.0, "optimal")
+        return LPSolution(n, d, lam, tuple(K[:, 0]), 1.0, "optimal")
 
     k0 = K[0, 1:]  # K_ell(0) = (q'-1)^ell C(n, ell) > 0
     scaled = K[:, 1:] / k0
     res = simplex_solve(np.ones(n), scaled[d:, :], -np.ones(n + 1 - d))
     if res.status != "optimal":
         nanv = (math.nan,) * (n + 1)
-        return LPSolution(n, d, QPRIME, nanv, nanv, math.nan, res.status)
+        return LPSolution(n, d, nanv, nanv, math.nan, res.status)
     mu = np.maximum(res.x, 0.0)
     lam = np.concatenate([[1.0], mu / k0])
     values = K @ lam
     slack = float(values[d:].max(initial=-math.inf))
     if slack > 1e-7 * max(1.0, float(values[0])):
         raise ArithmeticError(f"simplex solution violates Lambda <= 0 by {slack:.3e}")
-    return LPSolution(n, d, QPRIME, tuple(lam), tuple(values), float(values[0]), "optimal")
+    return LPSolution(n, d, tuple(lam), tuple(values), float(values[0]), "optimal")
 
 
 def composite_bound(n: int, d) -> float:
@@ -151,7 +150,7 @@ def composite_bound(n: int, d) -> float:
     sol = solve_distance_lp(n, d)
     if sol.status != "optimal":
         raise ArithmeticError(f"distance LP failed: {sol.status}")
-    return lovasz_bound(n, _Q) * sol.objective
+    return lovasz_bound(n) * sol.objective
 
 
 def _scan_grid() -> tuple:
@@ -189,7 +188,7 @@ def first_root(n: int, ell: int) -> float:
     off = np.sqrt(levels[1:] * (QPRIME - 1.0) * (n - levels[:-1])) / QPRIME
     jacobi = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
     r = float(np.linalg.eigvalsh(jacobi)[0])
-    f = lambda u: krawtchouk(n, ell, u, QPRIME)
+    f = lambda u: krawtchouk(n, ell, u)
     last = bisect.bisect_right(_GRID, n + 0.05) - 1
     k = min(max(bisect.bisect_left(_GRID, r), 1), last)
     while k > 1 and not f(_GRID[k - 1]) > 0.0:
@@ -219,17 +218,17 @@ def mrrw_certificate(n: int, d: int, t: int, a: float) -> LPSolution:
     if float(a).is_integer():
         # a = u would make values[u] = 0/0
         raise ValueError(f"reference point {a} is an integer")
-    kta = krawtchouk(n, t, a, QPRIME)
-    kt1a = krawtchouk(n, t + 1, a, QPRIME)
+    kta = krawtchouk(n, t, a)
+    kt1a = krawtchouk(n, t + 1, a)
     K = _kraw_table(n)
     values = np.array(
         [(kta * K[u, t + 1] - kt1a * K[u, t]) ** 2 / (a - u) for u in range(n + 1)]
     )
-    weight = np.array([(QPRIME - 1.0) ** u * math.comb(n, u) for u in range(n + 1)])
+    weight = np.array([_POWERS[u] * math.comb(n, u) for u in range(n + 1)])
     columns = ((weight * values)[:, None] * K).T.tolist()
     lam = np.array(
         [
-            math.fsum(column) / (QPRIME**n * (QPRIME - 1.0) ** ell * math.comb(n, ell))
+            math.fsum(column) / (QPRIME**n * _POWERS[ell] * math.comb(n, ell))
             for ell, column in enumerate(columns)
         ]
     )
@@ -238,9 +237,7 @@ def mrrw_certificate(n: int, d: int, t: int, a: float) -> LPSolution:
         raise ArithmeticError(f"lam_0 = {lam0:.3e} is not positive at (t={t}, a={a})")
     lam /= lam0
     values /= lam0
-    return LPSolution(
-        n, float(d), QPRIME, tuple(lam), tuple(values), float(values[0]), "certificate"
-    )
+    return LPSolution(n, float(d), tuple(lam), tuple(values), float(values[0]), "certificate")
 
 
 def mrrw_params(n: int, d: int):
@@ -283,20 +280,16 @@ def _cube_certificate(sol: LPSolution) -> tuple[np.ndarray, np.ndarray]:
     spheres, so it lives on {0, 2, 3}^n, and h on the cube is the idft
     restricted to those rows and columns: one 3 x 3 sub-kernel per axis.
     On both cubes the sphere index and the typewriter weight are the number
-    of nonzero coordinates.  A loaded certificate is outside input, so its
-    own qprime is checked against sqrt 5.
+    of nonzero coordinates.
     """
-    if abs(sol.qprime - QPRIME) > 1e-9:
-        raise ValueError(f"certificate qprime {sol.qprime} is not sqrt 5")
-    c = math.cos(math.pi / _Q)
     n = sol.n
     # the caller goes on to 5^n arrays (the dense f, or f_hat)
-    _check_size(n, _Q)
+    _check_size(n)
     count = functools.reduce(np.add.outer, (np.array([0, 1, 1], dtype=np.int8),) * n)
-    coeffs = np.array([_Q**n * lam / (2.0 * c) ** ell for ell, lam in enumerate(sol.lam)])
+    coeffs = np.array([_Q**n * lam / (2.0 * _COS) ** ell for ell, lam in enumerate(sol.lam)])
     sphere = (0, (_Q - 1) // 2, (_Q + 1) // 2)
-    h = _apply_axes(coeffs[count], _idft_kernel(_Q)[np.ix_(_CUBE, sphere)])
-    phi = 1.0 / (2.0 * c)
+    h = _apply_axes(coeffs[count], _IDFT_KERNEL[np.ix_(_CUBE, sphere)])
+    phi = 1.0 / (2.0 * _COS)
     g = functools.reduce(np.multiply.outer, (np.array([1.0, phi, phi]),) * n)
     return g * h, count
 
@@ -304,8 +297,6 @@ def _cube_certificate(sol: LPSolution) -> tuple[np.ndarray, np.ndarray]:
 def certificate_function(sol: LPSolution) -> GroupFunction:
     """Product witness times sphere multiplier, as a function on Z_5^n.
 
-    Requires sol.qprime = sqrt 5 = 1 + 1/cos(pi/5), which ties the
-    Krawtchouk parameter to the alphabet, and raises ValueError otherwise.
     The result f vanishes off {0, +-1}^n, is <= 0 on confusable differences
     with >= d steps, has nonnegative transform, and satisfies
     5^n f(0) / f_hat(0) = composite bound.
@@ -317,7 +308,7 @@ def certificate_function(sol: LPSolution) -> GroupFunction:
     f, _ = _cube_certificate(sol)
     values = np.zeros((_Q,) * sol.n, dtype=np.complex128)
     values[np.ix_(*(_CUBE,) * sol.n)] = f
-    return GroupFunction(sol.n, _Q, values)
+    return GroupFunction(sol.n, values)
 
 
 @dataclass(frozen=True)
@@ -337,8 +328,7 @@ def verify_certificate(sol: LPSolution) -> CertificateReport:
     The checked set is every word of typewriter weight >= d together with
     every non-confusable word (one with a coordinate outside {0, +-1}), so
     at d = inf it is exactly the non-confusable words.  Tolerances are
-    relative to the largest magnitude in each array.  A certificate whose
-    qprime is not sqrt 5 raises ValueError.
+    relative to the largest magnitude in each array.
 
     f is built and checked on the 3^n words of {0, +-1}^n, where it lives:
     off them it is exactly 0, so the support maximum is the larger of 0 and
@@ -355,12 +345,12 @@ def verify_certificate(sol: LPSolution) -> CertificateReport:
     threshold = n + 1 if sol.d > n else math.ceil(sol.d)
     # max keeps its first argument on a tie, so a zero maximum is reported as +0.0
     worst = max(0.0, float(np.max(fr, where=weight >= threshold, initial=-math.inf)))
-    fhat = _apply_axes(f, _dft_kernel(_Q)[:, _CUBE]).real
+    fhat = _apply_axes(f, _DFT_KERNEL[:, _CUBE]).real
     tmin = float(fhat.min())
     hatscale = max(float(fhat.max()), -tmin)
     origin = (0,) * n
     bound = _Q**n * fr[origin] / fhat[origin]
-    target = lovasz_bound(n, _Q) * sol.objective
+    target = lovasz_bound(n) * sol.objective
     ok = (
         worst <= 1e-9 * max(1.0, scale)
         and tmin >= -1e-9 * max(1.0, hatscale)
@@ -498,7 +488,7 @@ def save_certificate(sol: LPSolution, path) -> None:
         "# distance LP certificate",
         f"n {sol.n}",
         f"d {'inf' if sol.d == INF else int(sol.d)}",
-        f"qprime {_fmt(sol.qprime)}",
+        f"qprime {_fmt(QPRIME)}",
         f"status {sol.status}",
         f"objective {_fmt(sol.objective)}",
         "lam " + " ".join(_fmt(v) for v in sol.lam),
@@ -509,6 +499,7 @@ def save_certificate(sol: LPSolution, path) -> None:
 
 
 def load_certificate(path) -> LPSolution:
+    """Read a save_certificate file; one whose qprime is not sqrt 5 is refused."""
     fields = {}
     with open(path, encoding="ascii") as fh:
         for line in fh:
@@ -517,11 +508,13 @@ def load_certificate(path) -> LPSolution:
                 continue
             key, _, rest = line.partition(" ")
             fields[key] = rest
+    qprime = float(fields["qprime"])
+    if abs(qprime - QPRIME) > 1e-9:
+        raise ValueError(f"certificate qprime {qprime} is not sqrt 5")
     d = fields["d"]
     return LPSolution(
         n=int(fields["n"]),
         d=INF if d == "inf" else float(int(d)),
-        qprime=float(fields["qprime"]),
         lam=tuple(float(v) for v in fields["lam"].split()),
         Lambda=tuple(float(v) for v in fields["Lambda"].split()),
         objective=float(fields["objective"]),

@@ -2,8 +2,9 @@
 
 Everything here is deliberately dependency-free: q-ary entropy, log-domain
 binomials, a deterministic bisection root finder, and Krawtchouk polynomial
-evaluation for possibly non-integer alphabet parameters.  All logarithms are
-base 2.
+evaluation at the irrational alphabet parameter q' = sqrt 5 of the distance
+LP.  The package's alphabet constants log2 5 and q' live here.  All
+logarithms are base 2.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "LOG5",
+    "QPRIME",
     "qary_entropy",
     "log2_binomial",
     "bisect_root",
@@ -23,6 +26,13 @@ _MAX_KRAWTCHOUK_N = 64
 _EXACT_BINOMIAL_N = 60
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
+
+LOG5 = math.log2(5.0)
+# the effective alphabet size 1 + 1/cos(pi/5) of the 5-input typewriter's
+# distance LP; the same double as math.sqrt(5.0)
+QPRIME = 1.0 + 1.0 / math.cos(math.pi / 5.0)
+# (q'-1)^k for k = 0..64, shared by every Krawtchouk evaluation
+_POWERS = tuple((QPRIME - 1.0) ** k for k in range(_MAX_KRAWTCHOUK_N + 1))
 
 
 def qary_entropy(t: float, q: float) -> float:
@@ -101,12 +111,12 @@ def real_binomial(u: float, j: int) -> float:
     return _binomial_row(u, j)[j]
 
 
-def krawtchouk(n: int, ell: int, u: float, qprime: float) -> float:
+def krawtchouk(n: int, ell: int, u: float) -> float:
     """K_ell(u; n, q') = sum_j (-1)^j (q'-1)^(ell-j) C(u, j) C(n-u, ell-j).
 
-    q' may be non-integer.  Terms are combined with exact compensated
-    summation (math.fsum); n above 64 is refused because the term magnitudes
-    then outgrow what double precision can cancel reliably.
+    q' = sqrt 5, and u may be non-integer.  Terms are combined with exact
+    compensated summation (math.fsum); n above 64 is refused because the term
+    magnitudes then outgrow what double precision can cancel reliably.
     """
     if n < 0 or n > _MAX_KRAWTCHOUK_N:
         raise ValueError(f"n={n} outside supported range [0, {_MAX_KRAWTCHOUK_N}]")
@@ -120,11 +130,11 @@ def krawtchouk(n: int, ell: int, u: float, qprime: float) -> float:
         cn = cn_row[ell - j]
         if cu == 0.0 or cn == 0.0:
             continue
-        terms.append((-1.0) ** j * (qprime - 1.0) ** (ell - j) * cu * cn)
+        terms.append((-1.0) ** j * _POWERS[ell - j] * cu * cn)
     return math.fsum(terms)
 
 
-def krawtchouk_recurrence(n: int, ell: int, u: float, qprime: float) -> float:
+def krawtchouk_recurrence(n: int, ell: int, u: float) -> float:
     """Same polynomial via the three-term recurrence; cross-check path.
 
     (l+1) K_{l+1}(u) = [(q'-1)(n-l) + l - q'u] K_l(u) - (q'-1)(n-l+1) K_{l-1}(u)
@@ -135,7 +145,7 @@ def krawtchouk_recurrence(n: int, ell: int, u: float, qprime: float) -> float:
         raise ValueError(f"degree {ell} outside [0, {n}]")
     km1, k = 0.0, 1.0
     for l in range(ell):
-        nxt = (((qprime - 1.0) * (n - l) + l - qprime * u) * k
-               - (qprime - 1.0) * (n - l + 1) * km1) / (l + 1)
+        nxt = (((QPRIME - 1.0) * (n - l) + l - QPRIME * u) * k
+               - (QPRIME - 1.0) * (n - l + 1) * km1) / (l + 1)
         km1, k = k, nxt
     return k

@@ -30,12 +30,11 @@ def _check_entropy_identity():
 
 
 def _check_krawtchouk_recurrence():
-    q = lpbound.QPRIME
     worst = 0.0
     for u in range(9):
         for ell in range(9):
-            a = scalars.krawtchouk(8, ell, u, q)
-            b = scalars.krawtchouk_recurrence(8, ell, u, q)
+            a = scalars.krawtchouk(8, ell, u)
+            b = scalars.krawtchouk_recurrence(8, ell, u)
             worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     return worst <= 1e-10, f"direct vs recurrence rel err {worst:.3e}"
 
@@ -108,7 +107,7 @@ def _check_gv_zero_rate():
 def _check_transform_oracle():
     rng = np.random.default_rng(7)
     vals = rng.standard_normal((5, 5, 5))
-    f = fourier.GroupFunction(3, 5, vals)
+    f = fourier.GroupFunction(3, vals)
     got = fourier.dft(f).values
     want = 5**3 * np.fft.ifftn(vals)
     err = float(np.abs(got - want).max())
@@ -118,7 +117,7 @@ def _check_transform_oracle():
 def _check_parseval():
     rng = np.random.default_rng(11)
     vals = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    f = fourier.GroupFunction(2, 5, vals)
+    f = fourier.GroupFunction(2, vals)
     lhs = fourier.inner(f, f).real
     g = fourier.dft(f)
     rhs = (fourier.inner(g, g) / 5**2).real
@@ -130,8 +129,8 @@ def _check_sphere_transform_identity():
     for ell in range(4):
         for u in range(4):
             x = fourier.canonical_sphere_word(3, u)
-            a = fourier.sphere_transform(3, 5, ell, x)
-            b = fourier.sphere_transform_closed_form(3, 5, ell, u)
+            a = fourier.sphere_transform(3, ell, x)
+            b = fourier.sphere_transform_closed_form(3, ell, u)
             worst = max(worst, abs(a - b))
     return worst <= 1e-9, f"sphere transform vs Krawtchouk form, max err {worst:.3e}"
 

@@ -90,17 +90,17 @@ def test_criterion_06_sphere_transform_matches_closed_form():
         for ell in range(n + 1):
             for u in range(n + 1):
                 direct = fourier.sphere_transform(
-                    n, 5, ell, fourier.canonical_sphere_word(n, u)
+                    n, ell, fourier.canonical_sphere_word(n, u)
                 )
-                closed = fourier.sphere_transform_closed_form(n, 5, ell, u)
+                closed = fourier.sphere_transform_closed_form(n, ell, u)
                 assert abs(direct - closed) <= 1e-9, (n, ell, u)
     assert time.perf_counter() - t0 < 10.0
 
 
 def test_criterion_07_lovasz_chain():
     t0 = time.perf_counter()
-    assert abs(fourier.lovasz_bound(1, 5) - math.sqrt(5.0)) <= 1e-9
-    assert abs(fourier.lovasz_bound(2, 5) - 5.0) <= 1e-9
+    assert abs(fourier.lovasz_bound(1) - math.sqrt(5.0)) <= 1e-9
+    assert abs(fourier.lovasz_bound(2) - 5.0) <= 1e-9
     assert lpbound.max_code(2, math.inf)[0] == 5
     assert lpbound.max_code(1, math.inf)[0] == 2
     assert time.perf_counter() - t0 < 1.0
@@ -182,7 +182,7 @@ def test_criterion_12_gv_anchor_recovers_r_star():
 
 
 def test_trend_lp_and_multiplier_gaps_shrink_with_n():
-    limit = curves.r_lp1(math.sqrt(5.0), 0.3)
+    limit = curves.r_lp1(0.3)
     assert abs(limit - 0.3685888290754905) <= 1e-12
     lp_gaps = []
     mrrw_gaps = []

@@ -23,6 +23,7 @@ from typewriter_bounds.curves import (
     r_star,
     sample_curves,
 )
+from typewriter_bounds.scalars import QPRIME
 
 C0 = ZERO_ERROR_CAPACITY
 C = CAPACITY
@@ -95,14 +96,25 @@ def test_e_lp1_domain_extends_to_log5():
 
 def test_r_lp1_values_and_validation():
     q = math.sqrt(5.0)
-    assert r_lp1(q, 0.3) == pytest.approx(0.3685888290754905, abs=1e-12)
+    assert r_lp1(0.3) == pytest.approx(0.3685888290754905, abs=1e-12)
     # delta = 0 gives the full rate log2 q, delta at the Plotkin point gives 0
-    assert r_lp1(q, 0.0) == pytest.approx(math.log2(q), abs=1e-12)
-    assert r_lp1(q, (q - 1.0) / q) == pytest.approx(0.0, abs=1e-9)
+    assert r_lp1(0.0) == pytest.approx(math.log2(q), abs=1e-12)
+    assert r_lp1((q - 1.0) / q) == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
-        r_lp1(1.0, 0.3)
-    with pytest.raises(ValueError):
-        r_lp1(q, 1.5)
+        r_lp1(1.5)
+
+
+def test_r_lp1_refuses_delta_past_the_plotkin_point():
+    # the formula's other branch would grow with distance: 0.6817 at 0.9
+    plotkin = (QPRIME - 1.0) / QPRIME
+    for delta in (0.9, 1.0, math.nextafter(plotkin, 1.0), math.nan, -1e-12):
+        with pytest.raises(ValueError, match="delta"):
+            r_lp1(delta)
+    rates = [r_lp1(plotkin * i / 200) for i in range(201)]
+    assert all(a >= b for a, b in zip(rates, rates[1:]))
+    # e_lp1 bisects up to the Plotkin point; the goldens need it to be 1 - 1/q'
+    assert plotkin == 1.0 - 1.0 / QPRIME == SL_STAR_FACTOR == e_lp1(C0)
+    assert r_lp1(plotkin) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_sample_curves_grid_and_validation():

@@ -89,6 +89,11 @@ def test_q_form_on_zero_error_code_is_exact():
         assert got == Fraction(1, 5)
 
 
+def test_code_distribution_refuses_an_empty_code():
+    with pytest.raises(ValueError, match="empty code"):
+        code_distribution([])
+
+
 def test_zero_error_code2_witness():
     code = zero_error_code2()
     assert code == [(0, 0), (1, 2), (2, 4), (3, 1), (4, 3)]

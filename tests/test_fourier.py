@@ -1,4 +1,4 @@
-"""Group Fourier analysis on Z_q^n and the theta-type bound."""
+"""Group Fourier analysis on Z_5^n and the theta-type bound."""
 
 import itertools
 import math
@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typewriter_bounds.fourier import (
+    _DFT_KERNEL,
+    _IDFT_KERNEL,
     GroupFunction,
     _apply_axes,
-    _dft_kernel,
-    _idft_kernel,
     canonical_sphere_word,
     dft,
     freq_sphere_indicator,
@@ -23,35 +23,35 @@ from typewriter_bounds.fourier import (
     sphere_transform,
     sphere_transform_closed_form,
 )
+from typewriter_bounds.scalars import QPRIME
 
 
-def _random_function(n, q, seed):
+def _random_function(n, seed):
     rng = np.random.default_rng(seed)
-    vals = rng.normal(size=(q,) * n) + 1j * rng.normal(size=(q,) * n)
-    return GroupFunction(n, q, vals)
+    vals = rng.normal(size=(5,) * n) + 1j * rng.normal(size=(5,) * n)
+    return GroupFunction(n, vals)
 
 
 def test_group_function_validation():
     with pytest.raises(ValueError):
-        GroupFunction(1, 4, np.zeros(4))  # even alphabet
-    with pytest.raises(ValueError):
-        GroupFunction(1, 3, np.zeros(3))  # too small
-    with pytest.raises(ValueError):
-        GroupFunction(2, 5, np.zeros(5))  # wrong shape
-    f = GroupFunction(2, 5, np.arange(25.0).reshape(5, 5))
+        GroupFunction(2, np.zeros(5))  # wrong shape
+    f = GroupFunction(2, np.arange(25.0).reshape(5, 5))
     assert f[(6, -1)] == f[(1, 4)]
+    for word in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match=r"not in Z_5\^2"):
+            f[word]
 
 
 def test_dft_matches_fft_oracle():
-    f = _random_function(2, 5, seed=3)
+    f = _random_function(2, seed=3)
     # with the +i kernel the transform is q^n times numpy's inverse FFT
     want = 25.0 * np.fft.ifftn(f.values)
     assert np.allclose(dft(f).values, want, atol=1e-12)
 
 
 def test_idft_inverts_dft():
-    for n, q in ((1, 5), (2, 5), (2, 7)):
-        f = _random_function(n, q, seed=n * q)
+    for n in (1, 2):
+        f = _random_function(n, seed=n * 5)
         back = idft(dft(f))
         assert np.allclose(back.values, f.values, atol=1e-12)
 
@@ -68,56 +68,54 @@ def test_sliced_kernels_transform_functions_on_sub_cubes(n, seed):
 
     dense = np.zeros((5,) * n, dtype=np.complex128)
     dense[np.ix_(*(sphere,) * n)] = vals
-    want = idft(GroupFunction(n, 5, dense)).values[np.ix_(*(cube,) * n)]
-    got = _apply_axes(vals, _idft_kernel(5)[np.ix_(cube, sphere)])
+    want = idft(GroupFunction(n, dense)).values[np.ix_(*(cube,) * n)]
+    got = _apply_axes(vals, _IDFT_KERNEL[np.ix_(cube, sphere)])
     assert got.shape == (3,) * n
     assert np.abs(got - want).max() <= tol / 5**n
 
     dense = np.zeros((5,) * n, dtype=np.complex128)
     dense[np.ix_(*(cube,) * n)] = vals
-    want = dft(GroupFunction(n, 5, dense)).values
-    got = _apply_axes(vals, _dft_kernel(5)[:, cube])
+    want = dft(GroupFunction(n, dense)).values
+    got = _apply_axes(vals, _DFT_KERNEL[:, cube])
     assert got.shape == (5,) * n
     assert np.abs(got - want).max() <= tol
 
 
 def test_parseval():
-    f = _random_function(2, 5, seed=9)
+    f = _random_function(2, seed=9)
     lhs = inner(dft(f), dft(f))
     rhs = 25.0 * inner(f, f)
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 def test_lovasz_assignment_structure():
-    g = lovasz_assignment(1, 5)
+    g = lovasz_assignment(1)
     phi = 1.0 / (2.0 * math.cos(math.pi / 5.0))
     assert g[(0,)] == pytest.approx(1.0, abs=0)
     assert g[(1,)] == pytest.approx(phi, abs=1e-15)
     assert g[(4,)] == pytest.approx(phi, abs=1e-15)
     assert g[(2,)] == 0.0
-    g2 = lovasz_assignment(2, 5)
+    g2 = lovasz_assignment(2)
     assert g2[(1, 4)] == pytest.approx(phi * phi, abs=1e-15)
 
 
 def test_lovasz_assignment_transform_is_nonnegative():
     for n in (1, 2):
-        ghat = dft(lovasz_assignment(n, 5)).values
+        ghat = dft(lovasz_assignment(n)).values
         assert np.abs(ghat.imag).max() <= 1e-12
         assert ghat.real.min() >= -1e-12
 
 
 def test_lovasz_bound_values():
-    assert lovasz_bound(1, 5) == pytest.approx(math.sqrt(5.0), abs=1e-9)
-    assert lovasz_bound(2, 5) == pytest.approx(5.0, abs=1e-9)
-    assert lovasz_bound(3, 5) == pytest.approx(5.0 * math.sqrt(5.0), abs=1e-8)
-    c = math.cos(math.pi / 7.0)
-    assert lovasz_bound(1, 7) == pytest.approx(7.0 * c / (1.0 + c), abs=1e-12)
+    assert lovasz_bound(1) == pytest.approx(math.sqrt(5.0), abs=1e-9)
+    assert lovasz_bound(2) == pytest.approx(5.0, abs=1e-9)
+    assert lovasz_bound(3) == pytest.approx(5.0 * math.sqrt(5.0), abs=1e-8)
     with pytest.raises(ValueError):
-        lovasz_bound(1, 4)
+        lovasz_bound(0)
 
 
 def test_sphere_size_and_indicator():
-    ind = freq_sphere_indicator(3, 5, 1)
+    ind = freq_sphere_indicator(3, 1)
     total = ind.values.sum()
     assert total.real == math.comb(3, 1) * 2**1
     assert ind[(2, 0, 0)] == 1.0
@@ -127,18 +125,17 @@ def test_sphere_size_and_indicator():
 
 
 @settings(deadline=None)
-@given(n=st.integers(1, 4), q=st.sampled_from([5, 7]))
-def test_freq_sphere_indicators_partition_the_half_alphabet_cube(n, q):
-    c = (q - 1) // 2
-    inds = [freq_sphere_indicator(n, q, ell).values for ell in range(n + 1)]
+@given(n=st.integers(1, 4))
+def test_freq_sphere_indicators_partition_the_half_alphabet_cube(n):
+    inds = [freq_sphere_indicator(n, ell).values for ell in range(n + 1)]
     for ell, ind in enumerate(inds):
         assert ind.sum() == math.comb(n, ell) * 2**ell
-    # disjoint, covering exactly {0, +-c}^n, each word on the sphere of its
+    # disjoint, covering exactly {0, +-2}^n, each word on the sphere of its
     # nonzero count
-    for x in itertools.product(range(q), repeat=n):
+    for x in itertools.product(range(5), repeat=n):
         on = [ell for ell, ind in enumerate(inds) if ind[x] == 1.0]
         assert all(ind[x] in (0.0, 1.0) for ind in inds)
-        if set(x) <= {0, c, q - c}:
+        if set(x) <= {0, 2, 3}:
             assert on == [sum(v != 0 for v in x)], x
         else:
             assert on == [], x
@@ -155,16 +152,32 @@ def test_sphere_transform_identity_small():
     for n in (2, 4):
         for ell in range(n + 1):
             for u in range(n + 1):
-                direct = sphere_transform(n, 5, ell, canonical_sphere_word(n, u))
-                closed = sphere_transform_closed_form(n, 5, ell, u)
+                direct = sphere_transform(n, ell, canonical_sphere_word(n, u))
+                closed = sphere_transform_closed_form(n, ell, u)
                 assert direct == pytest.approx(closed, abs=1e-10)
 
 
 def test_sphere_transform_rejects_words_off_the_unit_sphere():
     with pytest.raises(ValueError):
-        sphere_transform(2, 5, 1, (2, 0))
+        sphere_transform(2, 1, (2, 0))
+
+
+@pytest.mark.parametrize("ell", [3, -1])
+def test_both_sphere_evaluators_refuse_a_degree_outside_0_to_n(ell):
+    with pytest.raises(ValueError, match=rf"degree {ell} not in 0\.\.2"):
+        sphere_transform(2, ell, (1, 0))
+    with pytest.raises(ValueError, match=rf"degree {ell} not in 0\.\.2"):
+        sphere_transform_closed_form(2, ell, 1)
+
+
+@pytest.mark.parametrize("u", [3, 2.5, -1, 1.0])
+def test_closed_form_refuses_weights_that_no_word_has(u):
+    with pytest.raises(ValueError, match=rf"weight {u} not in 0\.\.2"):
+        sphere_transform_closed_form(2, 1, u)
+    with pytest.raises(ValueError, match=rf"weight {u} not in 0\.\.2"):
+        canonical_sphere_word(2, u)
 
 
 def test_effective_alphabet_parameter_is_sqrt5():
-    qprime = 1.0 + 1.0 / math.cos(math.pi / 5.0)
-    assert qprime == pytest.approx(math.sqrt(5.0), abs=1e-12)
+    assert QPRIME == 1.0 + 1.0 / math.cos(math.pi / 5.0)
+    assert QPRIME == math.sqrt(5.0)

@@ -95,12 +95,12 @@ def test_first_root_of_degree_one():
     root = first_root(10, 1)
     want = (QPRIME - 1.0) * 10.0 / QPRIME
     assert root == pytest.approx(want, abs=1e-9)
-    assert krawtchouk(10, 1, root, QPRIME) == pytest.approx(0.0, abs=1e-9)
+    assert krawtchouk(10, 1, root) == pytest.approx(0.0, abs=1e-9)
 
 
 def _scan_first_root(n, ell):
     """The former first_root: a 0.05-step scan from u = 0, then bisection."""
-    f = lambda u: krawtchouk(n, ell, u, QPRIME)
+    f = lambda u: krawtchouk(n, ell, u)
     prev_u, prev_v = 0.0, f(0.0)
     u = 0.05
     while u <= n + 0.05:
@@ -185,7 +185,7 @@ def test_kraw_table_is_built_once_and_read_only():
     for n in (0, 1, 2, 3, 7, 22, 45, 64):
         K = _kraw_table(n)
         for u, ell in itertools.product(range(n + 1), repeat=2):
-            assert K[u, ell] == krawtchouk(n, ell, u, QPRIME), (n, u, ell)
+            assert K[u, ell] == krawtchouk(n, ell, u), (n, u, ell)
     with pytest.raises(ValueError):
         _kraw_table(65)
 
@@ -193,7 +193,7 @@ def test_kraw_table_is_built_once_and_read_only():
 def test_composite_bound_factorisation():
     sol = solve_distance_lp(3, 2)
     assert composite_bound(3, 2) == pytest.approx(
-        lovasz_bound(3, 5) * sol.objective, rel=1e-12
+        lovasz_bound(3) * sol.objective, rel=1e-12
     )
 
 
@@ -257,10 +257,10 @@ def _dense_certificate(sol):
     c = math.cos(math.pi / q)
     coeffs = np.zeros(n * (n + 1) + 1)
     coeffs[: n + 1] = [q**n * lam / (2.0 * c) ** ell for ell, lam in enumerate(sol.lam)]
-    h = idft(GroupFunction(n, q, coeffs[symbol_count(n, q, (2, 3))]))
-    f = lovasz_assignment(n, q).values * h.values
-    fhat = dft(GroupFunction(n, q, f)).values.real
-    weight = symbol_count(n, q, (1, 4))
+    h = idft(GroupFunction(n, coeffs[symbol_count(n, (2, 3))]))
+    f = lovasz_assignment(n).values * h.values
+    fhat = dft(GroupFunction(n, f)).values.real
+    weight = symbol_count(n, (1, 4))
     threshold = n + 1 if sol.d > n else math.ceil(sol.d)
     worst = float(np.max(f.real, where=weight >= threshold, initial=-math.inf)) + 0.0
     origin = (0,) * n
@@ -286,7 +286,7 @@ def test_certificate_matches_the_dense_construction():
         scale = np.abs(want_f).max()
         f = certificate_function(sol).values
         assert np.abs(f - want_f).max() <= 1e-12 * scale
-        off_cube = symbol_count(sol.n, 5, (1, 4)) > sol.n
+        off_cube = symbol_count(sol.n, (1, 4)) > sol.n
         assert not f[off_cube].any()
         rep = verify_certificate(sol)
         assert rep.ok, rep.detail
@@ -334,7 +334,6 @@ def test_certificate_roundtrip(tmp_path):
     save_certificate(sol, path)
     back = load_certificate(path)
     assert back.n == sol.n and back.d == sol.d and back.status == sol.status
-    assert back.qprime == sol.qprime
     assert back.objective == sol.objective
     assert back.lam == sol.lam
     assert tuple(back.Lambda) == tuple(float(v) for v in sol.Lambda)
@@ -348,14 +347,12 @@ def test_certificates_off_sqrt5_are_refused(tmp_path):
     # a loaded certificate is outside input; 1 + 1/cos(pi/7) is the q = 7 value
     path = tmp_path / "cert.txt"
     save_certificate(solve_distance_lp(3, 2), path)
+    assert verify_certificate(load_certificate(path)).ok
     text = path.read_text()
     assert "qprime 2.2360679774997898\n" in text
     path.write_text(text.replace("qprime 2.2360679774997898", "qprime 2.1099162641747427"))
-    doctored = load_certificate(path)
-    for check in (certificate_function, verify_certificate):
-        with pytest.raises(ValueError, match=r"qprime 2\.1099162641747427 is not sqrt 5"):
-            check(doctored)
-    assert verify_certificate(dataclasses.replace(doctored, qprime=QPRIME)).ok
+    with pytest.raises(ValueError, match=r"qprime 2\.1099162641747427 is not sqrt 5"):
+        load_certificate(path)
 
 
 # (size, lex-first witness) of every (n, d) with n <= 3 and d <= 2n or inf,

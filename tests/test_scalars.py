@@ -80,18 +80,17 @@ def test_krawtchouk_low_degrees():
     q = 1.0 + 1.0 / math.cos(math.pi / 5.0)
     for n in (4, 8):
         for u in range(n + 1):
-            assert krawtchouk(n, 0, u, q) == pytest.approx(1.0, abs=1e-12)
+            assert krawtchouk(n, 0, u) == pytest.approx(1.0, abs=1e-12)
             want = (q - 1.0) * n - q * u
-            assert krawtchouk(n, 1, u, q) == pytest.approx(want, abs=1e-10)
+            assert krawtchouk(n, 1, u) == pytest.approx(want, abs=1e-10)
 
 
 def test_krawtchouk_direct_matches_recurrence():
-    q = 1.0 + 1.0 / math.cos(math.pi / 5.0)
     for n in (3, 8):
         for ell in range(n + 1):
             for u in range(n + 1):
-                a = krawtchouk(n, ell, u, q)
-                b = krawtchouk_recurrence(n, ell, u, q)
+                a = krawtchouk(n, ell, u)
+                b = krawtchouk_recurrence(n, ell, u)
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
@@ -99,7 +98,7 @@ def test_krawtchouk_generating_sum_at_zero():
     # sum_ell K_ell(0) x^ell = (1 + (q-1)x)^n at x = 1
     q = math.sqrt(5.0)
     n = 6
-    total = math.fsum(krawtchouk(n, ell, 0, q) for ell in range(n + 1))
+    total = math.fsum(krawtchouk(n, ell, 0) for ell in range(n + 1))
     assert total == pytest.approx(q**n, rel=1e-12)
 
 
@@ -124,9 +123,6 @@ def _scan_grid(top):
     return grid
 
 
-_QPRIMES = (1.0 + 1.0 / math.cos(math.pi / 5.0), 1.0 + 1.0 / math.cos(math.pi / 7.0), 2.0, 3.0, 5.0)
-
-
 @given(
     n=st.integers(0, 64),
     ell_share=st.floats(0.0, 1.0),
@@ -135,9 +131,9 @@ _QPRIMES = (1.0 + 1.0 / math.cos(math.pi / 5.0), 1.0 + 1.0 / math.cos(math.pi / 
         st.floats(-70.0, 70.0),
         st.sampled_from(_scan_grid(64)),
     ),
-    qprime=st.sampled_from(_QPRIMES),
 )
-def test_krawtchouk_is_the_termwise_sum_bit_for_bit(n, ell_share, u, qprime):
+def test_krawtchouk_is_the_termwise_sum_bit_for_bit(n, ell_share, u):
+    qprime = 1.0 + 1.0 / math.cos(math.pi / 5.0)
     ell = round(ell_share * n)
     terms = []
     for j in range(ell + 1):
@@ -147,4 +143,4 @@ def test_krawtchouk_is_the_termwise_sum_bit_for_bit(n, ell_share, u, qprime):
         if cu == 0.0 or cn == 0.0:
             continue
         terms.append((-1.0) ** j * (qprime - 1.0) ** (ell - j) * cu * cn)
-    assert krawtchouk(n, ell, u, qprime) == math.fsum(terms)
+    assert krawtchouk(n, ell, u) == math.fsum(terms)
