@@ -2,9 +2,12 @@
 
 Transforms use the symmetric kernel exp(+2 pi i <w, x> / 5), applied axis by
 axis as a matrix product with one 5 x 5 kernel.  The dense 5^n transforms
-serve the self-checks and the tests; lpbound applies row or column slices of
-the same kernels to the 3^n words where its certificate lives, with the same
-per-axis product.
+serve the self-checks and the tests.  lpbound applies 3 x 3 slices of the
+same kernels, with the same per-axis product: the idft slice builds its
+certificate on the 3^n words of {0, +-1}^n, where it lives, and the dft
+slice evaluates the certificate's transform on the 3^n words of
+{0, 1, 2}^n, which hold every value of that transform because the
+certificate is even in every coordinate.
 
 The central object is the product witness function that is 1 at the origin
 and 1/(2 cos(pi/5)) at the 2n words that differ from it by one cyclic step:
@@ -76,7 +79,7 @@ class GroupFunction:
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, word) -> complex:
-        if len(word) != self.n:
+        if len(word) != self.n or not all(isinstance(c, numbers.Integral) for c in word):
             raise ValueError(f"word {tuple(word)!r} not in Z_5^{self.n}")
         return complex(self.values[tuple(c % _Q for c in word)])
 

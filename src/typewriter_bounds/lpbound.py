@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 _CUBE = (0, 1, _Q - 1)  # the symbols where the certificate lives
+_HALF = (0, 1, 2)  # one symbol of each pair {w, -w} of frequencies
 
 
 @dataclass(frozen=True)
@@ -280,10 +281,13 @@ def _cube_certificate(sol: LPSolution) -> tuple[np.ndarray, np.ndarray]:
     spheres, so it lives on {0, 2, 3}^n, and h on the cube is the idft
     restricted to those rows and columns: one 3 x 3 sub-kernel per axis.
     On both cubes the sphere index and the typewriter weight are the number
-    of nonzero coordinates.
+    of nonzero coordinates.  A failed LP has no certificate: a status other
+    than optimal or certificate, or a non-finite lam, raises ValueError.
     """
     n = sol.n
-    # the caller goes on to 5^n arrays (the dense f, or f_hat)
+    if sol.status not in ("optimal", "certificate") or not all(map(math.isfinite, sol.lam)):
+        raise ValueError(f"no certificate to check: LP status {sol.status}")
+    # shared with certificate_function, which goes on to a dense 5^n array
     _check_size(n)
     count = functools.reduce(np.add.outer, (np.array([0, 1, 1], dtype=np.int8),) * n)
     coeffs = np.array([_Q**n * lam / (2.0 * _COS) ** ell for ell, lam in enumerate(sol.lam)])
@@ -332,11 +336,18 @@ def verify_certificate(sol: LPSolution) -> CertificateReport:
 
     f is built and checked on the 3^n words of {0, +-1}^n, where it lives:
     off them it is exactly 0, so the support maximum is the larger of 0 and
-    the cube's maximum.  f_hat is evaluated at all 5^n words by the 5 x 3
-    column slice of the dft kernel per axis, so only the last axis product
-    has 5^n entries, and the peak memory stays under three complex 5^n
-    arrays.  5^n above the fourier size guard raises ValueError before
-    anything is allocated.
+    the cube's maximum.  f is even in every coordinate: the witness is
+    (1, phi, phi) on the symbols (0, 1, -1), and the multiplier's factor is
+    the inverse transform of a function of the number of +-2 coordinates,
+    which negating a frequency coordinate does not change.  So f_hat(w) is
+    unchanged when any w_i is negated, every value f_hat takes on Z_5^n is
+    taken on {0, 1, 2}^n, and f_hat is evaluated only there: the 3 x 3 slice
+    of the dft kernel per axis, in the same per-axis product as the dense
+    dft.  No array here has more than 3^n entries, and the peak stays under
+    five complex 3^n arrays.  The n <= 10 size guard is the one shared with
+    certificate_function; it raises ValueError before anything is
+    allocated.  A solution whose status is neither optimal nor certificate,
+    or whose lam is not finite, is refused with ValueError.
     """
     f, weight = _cube_certificate(sol)
     fr = f.real
@@ -345,7 +356,7 @@ def verify_certificate(sol: LPSolution) -> CertificateReport:
     threshold = n + 1 if sol.d > n else math.ceil(sol.d)
     # max keeps its first argument on a tie, so a zero maximum is reported as +0.0
     worst = max(0.0, float(np.max(fr, where=weight >= threshold, initial=-math.inf)))
-    fhat = _apply_axes(f, _DFT_KERNEL[:, _CUBE]).real
+    fhat = _apply_axes(f, _DFT_KERNEL[np.ix_(_HALF, _CUBE)]).real
     tmin = float(fhat.min())
     hatscale = max(float(fhat.max()), -tmin)
     origin = (0,) * n

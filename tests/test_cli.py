@@ -214,24 +214,48 @@ def test_simulate_rejects_an_empty_code_file(tmp_path, capsys):
     assert "error: empty code file" in capsys.readouterr().err
 
 
+def _fresh_interpreter(args, cwd):
+    """Run python with args in a new process that imports ./src first."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=60
+    )
+
+
 def test_simulate_rejects_a_zero_batch(tmp_path):
     # a fresh process with a timeout, so a batch loop that never advances
     # fails the test instead of stalling the suite
     codefile = tmp_path / "pair.txt"
     codefile.write_text("000\n110\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "typewriter_bounds.cli", "simulate", "--code", str(codefile), "--batch", "0"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    proc = _fresh_interpreter(
+        ["-m", "typewriter_bounds.cli", "simulate", "--code", str(codefile), "--batch", "0"],
+        tmp_path,
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "error:" in proc.stderr and "batch" in proc.stderr
+
+
+def test_readme_lp_command_peak_memory(tmp_path):
+    # the command in a fresh interpreter; it peaked at 362 MB while f_hat was
+    # evaluated at all 5^10 words.  The child reads its own high-water mark
+    # VmHWM: on Linux its ru_maxrss starts from this test process's peak at
+    # exec, which a long test run pushes past the cap by itself
+    script = (
+        "from typewriter_bounds.cli import main\n"
+        "code = main(['lp', '--n', '10', '--d', '3', '--mrrw', '--verify', '--save', 'cert.txt'])\n"
+        "hwm = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+        "print(code, hwm[0].split()[1])\n"
+    )
+    proc = _fresh_interpreter(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "verified true" in lines
+    code, hwm_kib = lines[-1].split()
+    assert code == "0"
+    assert int(hwm_kib) / 1024 < 100
 
 
 def test_verify_all_suites_pass(capsys):

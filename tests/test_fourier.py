@@ -37,7 +37,8 @@ def test_group_function_validation():
         GroupFunction(2, np.zeros(5))  # wrong shape
     f = GroupFunction(2, np.arange(25.0).reshape(5, 5))
     assert f[(6, -1)] == f[(1, 4)]
-    for word in ((1,), (1, 0, 0)):
+    assert f[(np.int64(6), np.int8(-1))] == f[(1, 4)]
+    for word in ((1,), (1, 0, 0), (1.5, 0), (1.0, 0), (0, np.float64(2.0))):
         with pytest.raises(ValueError, match=r"not in Z_5\^2"):
             f[word]
 

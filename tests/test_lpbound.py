@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from typewriter_bounds.construction import word_weight
 from typewriter_bounds.fourier import (
+    _DFT_KERNEL,
     GroupFunction,
+    _apply_axes,
     dft,
     idft,
     lovasz_assignment,
@@ -21,7 +23,9 @@ from typewriter_bounds.fourier import (
     symbol_count,
 )
 from typewriter_bounds.lpbound import (
+    _CUBE,
     QPRIME,
+    _cube_certificate,
     _kraw_table,
     _max_clique_with_zero,
     certificate_function,
@@ -301,18 +305,87 @@ def test_certificate_matches_the_dense_construction():
     assert seen == pinned
 
 
-def test_verify_certificate_memory_cap():
-    # f_hat is the only q^n array; the cap is three complex q^n arrays
-    # (about 2.2 are reached; two dense transforms reached about 4.1)
-    sol = solve_distance_lp(8, 3)
-    tracemalloc.start()
-    try:
+def _five_by_three_report(sol):
+    """ok, bound, transform minimum and scale, with f_hat on all of Z_5^n.
+
+    verify_certificate as it was before it used the evenness of f: the same
+    cube f, with f_hat evaluated at all 5^n words by the 5 x 3 column slice
+    of the dft kernel per axis.
+    """
+    f, weight = _cube_certificate(sol)
+    fr = f.real
+    n = sol.n
+    threshold = n + 1 if sol.d > n else math.ceil(sol.d)
+    worst = max(0.0, float(np.max(fr, where=weight >= threshold, initial=-math.inf)))
+    fhat = _apply_axes(f, _DFT_KERNEL[:, _CUBE]).real
+    tmin = float(fhat.min())
+    hatscale = max(float(fhat.max()), -tmin)
+    origin = (0,) * n
+    bound = 5**n * fr[origin] / fhat[origin]
+    target = lovasz_bound(n) * sol.objective
+    ok = (
+        worst <= 1e-9 * max(1.0, float(np.abs(fr).max()))
+        and tmin >= -1e-9 * max(1.0, hatscale)
+        and abs(bound - target) <= 1e-6 * max(1.0, abs(target))
+    )
+    return ok, bound, tmin, hatscale
+
+
+def test_half_cube_transform_matches_the_full_one():
+    # every certificate the benchmark's certify workload verifies: the LP and
+    # the explicit multiplier at n = 2..6, d = ceil(k n / 10), k = 1..5
+    pairs = sorted({(n, math.ceil(k * n / 10)) for n in range(2, 7) for k in range(1, 6)})
+    pairs.append((8, 3))
+    sols = []
+    for n, d in pairs:
+        sols.append(solve_distance_lp(n, d))
+        t, a, _ = mrrw_params(n, d)
+        sols.append(mrrw_certificate(n, d, t, a))
+    assert len(sols) == 24 and all(sol.status in ("optimal", "certificate") for sol in sols)
+    # and, last, one the check rejects
+    sols.append(dataclasses.replace(solve_distance_lp(4, 3), d=1.0))
+    oks = []
+    for sol in sols:
+        key = (sol.n, sol.d, sol.status)
+        ok, bound, tmin, hatscale = _five_by_three_report(sol)
         rep = verify_certificate(sol)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rep.ok
-    assert peak <= 3 * 16 * 5**8
+        assert rep.ok == ok, key
+        assert rep.bound == bound, key
+        assert abs(rep.transform_minimum - tmin) <= 1e-12 * hatscale, key
+        oks.append(rep.ok)
+    assert oks == [True] * 24 + [False]
+
+
+def test_a_failed_lp_has_no_certificate_to_check():
+    failed = solve_distance_lp(22, 9)
+    assert failed.status == "numeric-failure"
+    sol = solve_distance_lp(4, 2)
+    t, a, _ = mrrw_params(4, 2)
+    cert = mrrw_certificate(4, 2, t, a)
+    for bad, status in (
+        (failed, "numeric-failure"),
+        (dataclasses.replace(sol, lam=(1.0, math.nan) + sol.lam[2:]), "optimal"),
+        (dataclasses.replace(cert, lam=cert.lam[:-1] + (math.inf,)), "certificate"),
+    ):
+        for check in (certificate_function, verify_certificate):
+            with pytest.raises(ValueError, match=f"no certificate to check: LP status {status}$"):
+                check(bad)
+
+
+def test_verify_certificate_memory_cap():
+    # no array has more than 3^n entries; the cap is eight complex 3^n arrays
+    # (about 4.6 and 4.1 are reached; f_hat on all 5^n words took 2.2
+    # complex 5^n arrays, 329 MiB at n = 10)
+    t, a, _ = mrrw_params(10, 3)
+    for sol in (solve_distance_lp(8, 3), mrrw_certificate(10, 3, t, a)):
+        tracemalloc.start()
+        try:
+            rep = verify_certificate(sol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+        assert peak <= 8 * 16 * 3**sol.n, (sol.n, peak / (16 * 3**sol.n))
 
 
 def test_certificate_size_guard_refuses_before_allocating():
