@@ -59,7 +59,7 @@ from .lpbound import (
     verify_certificate,
 )
 from .scalars import krawtchouk, qary_entropy
-from .verification import run_all, run_suite
+from .verification import run_suite
 
 __all__ = [
     "__version__",
@@ -114,5 +114,4 @@ __all__ = [
     "krawtchouk",
     "qary_entropy",
     "run_suite",
-    "run_all",
 ]

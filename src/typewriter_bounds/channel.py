@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import INF, word_distance
+from .construction import INF, _symbols, word_distance
 from .curves import _fmt
 
 __all__ = [
-    "channel_sample",
     "confusable",
     "confusion_prob",
     "plausible_codewords",
@@ -32,12 +31,6 @@ __all__ = [
 ]
 
 _WORDS_PER_TRIAL = 4  # message, noise bits, tie break, reserved
-
-
-def channel_sample(word, rng: np.random.Generator):
-    """One channel use: add an independent fair bit to each symbol mod 5."""
-    arr = np.asarray(word, dtype=np.int64)
-    return tuple((arr + rng.integers(0, 2, size=arr.size)) % 5)
 
 
 def confusable(x, y) -> bool:
@@ -57,18 +50,6 @@ def confusion_prob(x, y) -> float:
     if d == INF:
         return 0.0
     return 2.0 ** -(len(tuple(x)) + d)
-
-
-def _symbols(values, what: str) -> np.ndarray:
-    """Integer symbols reduced mod 5, as int8.
-
-    The reduction runs in the input's own integer type before the narrowing,
-    which would otherwise wrap a symbol such as 130 to a wrong residue.
-    """
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
-        raise ValueError(f"{what} symbols must be integers, got dtype {arr.dtype}")
-    return (arr % 5).astype(np.int8)
 
 
 def _code_symbols(code) -> np.ndarray:
@@ -127,11 +108,6 @@ class SimResult:
             "trials,errors,estimate,ci95,seed\n"
             f"{self.trials},{self.errors},{_fmt(self.estimate)},{_fmt(self.ci95)},{self.seed}\n"
         )
-
-    @property
-    def zero_error_upper(self) -> float:
-        """Rule-of-three 95 percent upper bound, meaningful when errors = 0."""
-        return 3.0 / self.trials
 
 
 def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimResult:

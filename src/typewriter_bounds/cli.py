@@ -175,11 +175,7 @@ def _cmd_maxcode(args) -> int:
         d="inf" if args.d == math.inf else args.d,
         size=size,
     )
-    if args.output == "-":
-        lines = [f"# {stamp}"] + ["".join(str(c) for c in w) for w in words]
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        construction.write_code_file(args.output, words, stamp)
+    _write(construction._code_text(words, stamp), args.output)
     return 0
 
 

@@ -22,7 +22,6 @@ from .scalars import LOG5, bisect_root, qary_entropy
 
 __all__ = [
     "INF",
-    "symbol_distance",
     "word_distance",
     "word_weight",
     "structured_weight",
@@ -32,14 +31,11 @@ __all__ = [
     "hamming_spectrum",
     "union_bound",
     "gv_delta",
-    "gv_spectrum_exponent",
     "ExponentResult",
     "optimize_exponent",
-    "random_inner_generator",
     "code_from_generator",
     "write_code_file",
     "read_code_file",
-    "spectrum_csv",
 ]
 
 INF = math.inf
@@ -50,9 +46,17 @@ _ENUM_GUARD = 10**7
 _SYMBOL_WEIGHT = (0, 1, INF, INF, 1)
 
 
-def symbol_distance(a: int, b: int) -> int | float:
-    """0 if equal, 1 if a - b = +-1 (mod 5), infinity otherwise."""
-    return _SYMBOL_WEIGHT[(a - b) % 5]
+def _symbols(values, what: str) -> np.ndarray:
+    """Integer symbols reduced mod 5, as int8.
+
+    The reduction runs in the input's own integer type before the narrowing,
+    which would otherwise wrap a symbol such as 130 to a wrong residue.  An
+    array with no entries passes whatever its dtype.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise ValueError(f"{what} symbols must be integers, got dtype {arr.dtype}")
+    return (arr % 5).astype(np.int8)
 
 
 def word_distance(x, y) -> int | float:
@@ -92,8 +96,8 @@ def structured_weight(u1, nu) -> int | float:
     """
     if len(u1) != len(nu):
         raise ValueError("length mismatch")
-    a = np.asarray(u1, dtype=np.int64) % 5
-    v = np.asarray(nu, dtype=np.int64) % 5
+    a = _symbols(u1, "u1")
+    v = _symbols(nu, "nu")
     total = int(_CONTRIB[a, v].sum())
     return total if total < _INF_SENTINEL else INF
 
@@ -111,20 +115,12 @@ class StructuredGenerator:
     inner: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        g = np.asarray(self.inner, dtype=np.int64) % 5
+        g = _symbols(self.inner, "generator").astype(np.int64)
         if g.shape != (self.k, self.n):
             raise ValueError(f"inner generator shape {g.shape} != ({self.k}, {self.n})")
         if self.n < 1 or self.k < 0:
             raise ValueError("need n >= 1 and k >= 0")
         object.__setattr__(self, "inner", g)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The full (n + k) x 2n generator matrix."""
-        eye = np.eye(self.n, dtype=np.int64)
-        top = np.hstack([eye, (2 * eye) % 5])
-        bottom = np.hstack([np.zeros((self.k, self.n), dtype=np.int64), self.inner])
-        return np.vstack([top, bottom])
 
     @property
     def message_count(self) -> int:
@@ -143,10 +139,6 @@ class Spectrum:
             raise ValueError("negative weight or count")
         if self.counts.get(0, 0) < 1:
             raise ValueError("a linear code always contains the zero word")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values()) + self.infinite_count
 
 
 def _all_words(n: int) -> np.ndarray:
@@ -184,7 +176,7 @@ def weight_spectrum(gen: StructuredGenerator) -> Spectrum:
 
 def hamming_spectrum(G) -> Spectrum:
     """Hamming weight distribution of {u G : u in Z5^k}, counting messages."""
-    g = np.asarray(G, dtype=np.int64) % 5
+    g = _symbols(G, "generator")
     if g.ndim != 2:
         raise ValueError("generator must be a 2-d matrix")
     k = g.shape[0]
@@ -222,13 +214,6 @@ def gv_delta(r: float) -> float:
     return bisect_root(lambda d: LOG5 - qary_entropy(d, 2.0) - 2.0 * d - target, 0.0, 0.8)
 
 
-def gv_spectrum_exponent(r: float, delta: float) -> float:
-    """Per-symbol log2 of the ambient spectrum term 5^(n(r-1)) C(n, dn) 4^(dn)."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta {delta!r} outside [0, 1]")
-    return (r - 1.0) * LOG5 + qary_entropy(delta, 2.0) + 2.0 * delta
-
-
 @dataclass(frozen=True)
 class ExponentResult:
     """Optimised error exponent of the construction at inner rate r."""
@@ -259,14 +244,6 @@ def optimize_exponent(r: float) -> ExponentResult:
     return ExponentResult(r, d_gv, delta_star, tau_star, exponent)
 
 
-def random_inner_generator(n: int, k: int, seed: int) -> np.ndarray:
-    """Uniform random k x n matrix over Z5 from a seeded generator."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 5, size=(k, n), dtype=np.int64)
-
-
 def code_from_generator(gen: StructuredGenerator) -> np.ndarray:
     """Materialise all 5^(n+k) codewords (u1, 2 u1 + u2 G), length 2n."""
     if gen.message_count > _ENUM_GUARD // 10:
@@ -279,16 +256,18 @@ def code_from_generator(gen: StructuredGenerator) -> np.ndarray:
     return np.hstack([left, right])
 
 
+def _code_text(code, header_comment: str | None = None) -> str:
+    """The code-file text: one codeword per line as base-5 digit strings,
+    after an optional '# ' comment line."""
+    lines = [f"# {header_comment}"] if header_comment else []
+    lines += ["".join(map(str, row)) for row in _symbols(code, "code").tolist()]
+    return "\n".join(lines) + "\n"
+
+
 def write_code_file(path, code, header_comment: str | None = None) -> None:
     """One codeword per line as base-5 digit strings; '#' lines are comments."""
-    rows = np.asarray(code, dtype=np.int64) % 5
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    for row in rows:
-        lines.append("".join(str(int(x)) for x in row))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_code_text(code, header_comment))
 
 
 def read_code_file(path) -> np.ndarray:
@@ -308,15 +287,3 @@ def read_code_file(path) -> np.ndarray:
     if len(lengths) != 1:
         raise ValueError("codewords have mixed lengths")
     return np.array(words, dtype=np.int64)
-
-
-def spectrum_csv(spectrum: Spectrum, header_comment: str | None = None) -> str:
-    """CSV rows weight,count sorted by weight, with a final inf row."""
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("weight,count")
-    for w in sorted(spectrum.counts):
-        lines.append(f"{w},{spectrum.counts[w]}")
-    lines.append(f"inf,{spectrum.infinite_count}")
-    return "\n".join(lines) + "\n"

@@ -510,7 +510,12 @@ def save_certificate(sol: LPSolution, path) -> None:
 
 
 def load_certificate(path) -> LPSolution:
-    """Read a save_certificate file; one whose qprime is not sqrt 5 is refused."""
+    """Read a save_certificate file.
+
+    A file whose qprime is not sqrt 5, whose n is below 1, whose d is not a
+    positive integer or inf, or whose lam or Lambda does not hold n + 1
+    values is refused with ValueError.
+    """
     fields = {}
     with open(path, encoding="ascii") as fh:
         for line in fh:
@@ -522,12 +527,24 @@ def load_certificate(path) -> LPSolution:
     qprime = float(fields["qprime"])
     if abs(qprime - QPRIME) > 1e-9:
         raise ValueError(f"certificate qprime {qprime} is not sqrt 5")
-    d = fields["d"]
+    n = int(fields["n"])
+    if n < 1:
+        raise ValueError(f"certificate length n = {n} must be at least 1")
+    d = INF if fields["d"] == "inf" else int(fields["d"])
+    if d < 1:
+        raise ValueError(f"certificate distance d = {d} must be a positive integer or inf")
+    lam = tuple(float(v) for v in fields["lam"].split())
+    Lambda = tuple(float(v) for v in fields["Lambda"].split())
+    if len(lam) != n + 1 or len(Lambda) != n + 1:
+        raise ValueError(
+            f"certificate needs n + 1 = {n + 1} values of lam and of Lambda, "
+            f"has {len(lam)} and {len(Lambda)}"
+        )
     return LPSolution(
-        n=int(fields["n"]),
-        d=INF if d == "inf" else float(int(d)),
-        lam=tuple(float(v) for v in fields["lam"].split()),
-        Lambda=tuple(float(v) for v in fields["Lambda"].split()),
+        n=n,
+        d=float(d),
+        lam=lam,
+        Lambda=Lambda,
         objective=float(fields["objective"]),
         status=fields["status"],
     )

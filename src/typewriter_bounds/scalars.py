@@ -17,7 +17,6 @@ __all__ = [
     "qary_entropy",
     "log2_binomial",
     "bisect_root",
-    "real_binomial",
     "krawtchouk",
     "krawtchouk_recurrence",
 ]
@@ -104,11 +103,6 @@ def _binomial_row(u: float, top: int) -> list[float]:
         p *= u - (j - 1)
         row.append(p / math.factorial(j))
     return row
-
-
-def real_binomial(u: float, j: int) -> float:
-    """C(u, j) for real u via falling factorial; exact comb for integer u."""
-    return _binomial_row(u, j)[j]
 
 
 def krawtchouk(n: int, ell: int, u: float) -> float:

@@ -2,8 +2,8 @@
 
 Every invariant closes over nothing mutable and runs in well under a
 second, so the whole registry is cheap enough to run before trusting a
-batch of results.  Checks return (ok, detail); run_suite and run_all
-collect (name, ok, detail) triples without stopping at the first failure.
+batch of results.  Checks return (ok, detail); run_suite collects
+(name, ok, detail) triples without stopping at the first failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import channel, construction, curves, expurgated, fourier, lpbound, scalars
 
-__all__ = ["SUITES", "run_suite", "run_all"]
+__all__ = ["SUITES", "run_suite"]
 
 
 def _close(got, want, tol, label):
@@ -214,11 +214,4 @@ def run_suite(name: str):
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         out.append((f"{name}/{label}", bool(ok), detail))
-    return out
-
-
-def run_all():
-    out = []
-    for name in SUITES:
-        out.extend(run_suite(name))
     return out

@@ -1,4 +1,4 @@
-"""Channel sampling, ML decoding, and the Monte Carlo error estimator."""
+"""Confusability, ML decoding, and the Monte Carlo error estimator."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from typewriter_bounds.channel import (
     SimResult,
-    channel_sample,
     confusable,
     confusion_prob,
     ml_decode,
@@ -16,17 +15,6 @@ from typewriter_bounds.channel import (
 )
 from typewriter_bounds.construction import StructuredGenerator, code_from_generator
 from typewriter_bounds.expurgated import zero_error_code2
-
-
-def test_channel_sample_moves_up_by_at_most_one():
-    rng = np.random.default_rng(0)
-    word = (0, 3, 4)
-    seen = set()
-    for _ in range(200):
-        y = tuple(channel_sample(word, rng))
-        assert all((b - a) % 5 in (0, 1) for a, b in zip(word, y))
-        seen.add(y)
-    assert len(seen) == 8  # all 2^3 shift patterns appear
 
 
 def test_confusable_and_confusion_prob():
@@ -117,7 +105,6 @@ def test_zero_error_code_never_errs():
     res = monte_carlo_pe(zero_error_code2(), 10**5, seed=2)
     assert res.errors == 0
     assert res.estimate == 0.0
-    assert res.zero_error_upper == 3e-05
 
 
 def test_sim_result_csv_roundtrip():
@@ -146,4 +133,4 @@ def test_monte_carlo_input_validation():
 
 def test_sim_result_fields_are_consistent():
     res = SimResult(100, 10, 0.1, 0.05, 7)
-    assert res.zero_error_upper == 0.03
+    assert [float(v) for v in res.csv().splitlines()[1].split(",")] == [100, 10, 0.1, 0.05, 7]

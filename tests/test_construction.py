@@ -12,14 +12,10 @@ from typewriter_bounds.construction import (
     StructuredGenerator,
     code_from_generator,
     gv_delta,
-    gv_spectrum_exponent,
     hamming_spectrum,
     optimize_exponent,
-    random_inner_generator,
     read_code_file,
-    spectrum_csv,
     structured_weight,
-    symbol_distance,
     union_bound,
     weight_spectrum,
     word_distance,
@@ -27,15 +23,15 @@ from typewriter_bounds.construction import (
     write_code_file,
 )
 from typewriter_bounds.curves import GV_SLOPE, LOG5
-from typewriter_bounds.scalars import bisect_root
+from typewriter_bounds.scalars import bisect_root, qary_entropy
 
 
 def test_symbol_and_word_distance():
-    assert symbol_distance(0, 0) == 0
-    assert symbol_distance(0, 1) == 1
-    assert symbol_distance(1, 0) == 1
-    assert symbol_distance(4, 0) == 1
-    assert symbol_distance(0, 2) == INF
+    assert word_distance((0,), (0,)) == 0
+    assert word_distance((0,), (1,)) == 1
+    assert word_distance((1,), (0,)) == 1
+    assert word_distance((4,), (0,)) == 1
+    assert word_distance((0,), (2,)) == INF
     assert word_distance((0, 1), (1, 1)) == 1
     assert word_distance((0, 1), (1, 2)) == 2
     assert word_distance((0, 0), (2, 0)) == INF
@@ -62,7 +58,9 @@ def test_structured_generator_matrix_layout():
             [0, 0, 1, 2],
         ]
     )
-    assert (gen.matrix == want).all()
+    # codeword (u1, u2) is (u1, u2) @ want mod 5, in lexicographic message order
+    messages = np.array(list(itertools.product(range(5), repeat=3)))
+    assert (code_from_generator(gen) == (messages @ want) % 5).all()
     assert gen.message_count == 125
     with pytest.raises(ValueError):
         StructuredGenerator(2, 1, [[1, 2, 3]])
@@ -73,7 +71,6 @@ def test_seed_code_spectrum():
     spec = weight_spectrum(gen)
     assert spec.counts == {0: 1, 2: 4, 3: 8, 4: 4}
     assert spec.infinite_count == 108
-    assert spec.total == 125
 
 
 def test_hamming_spectrum_of_identity():
@@ -85,7 +82,7 @@ def test_hamming_spectrum_of_identity():
 def test_spectrum_from_inner_hamming_distribution():
     # each nonzero symbol of the inner word contributes weight 1 or 2, so
     # A_z = sum_d B_d C(d, z - d) over d <= z <= 2d
-    G = random_inner_generator(3, 2, seed=11)
+    G = np.random.default_rng(11).integers(0, 5, size=(2, 3))
     spec = weight_spectrum(StructuredGenerator(3, 2, G))
     ham = hamming_spectrum(G)
     predicted: dict[int, int] = {}
@@ -111,7 +108,9 @@ def test_gv_delta_anchors():
 
 def test_gv_delta_zeroes_the_spectrum_exponent():
     for r in (0.0, 0.2, 0.5, 0.9):
-        assert gv_spectrum_exponent(r, gv_delta(r)) == pytest.approx(0.0, abs=1e-9)
+        delta = gv_delta(r)
+        exponent = (r - 1.0) * LOG5 + qary_entropy(delta, 2.0) + 2.0 * delta
+        assert exponent == pytest.approx(0.0, abs=1e-9)
 
 
 def test_optimize_exponent_branches_agree_at_the_switch():
@@ -144,7 +143,8 @@ def test_code_from_generator_matches_spectrum():
         StructuredGenerator(2, 2, [[1, 0], [4, 3]]),
     ]
     for n, k, seed in ((2, 1, 0), (3, 1, 1), (3, 2, 2), (4, 1, 3), (4, 2, 4)):
-        gens.append(StructuredGenerator(n, k, random_inner_generator(n, k, seed)))
+        inner = np.random.default_rng(seed).integers(0, 5, size=(k, n))
+        gens.append(StructuredGenerator(n, k, inner))
     for gen in gens:
         code = code_from_generator(gen)
         assert code.shape == (gen.message_count, 2 * gen.n)
@@ -164,6 +164,27 @@ def test_code_file_roundtrip(tmp_path):
     assert back.tolist() == [[0, 1, 2], [3, 4, 0]]
 
 
+def test_caller_symbols_are_reduced_in_their_own_type(tmp_path):
+    # 2^64 - 1 is 0 mod 5; a cast to int64 first would wrap it to -1, i.e. 4
+    big = np.array([[2**64 - 1, 6]], dtype=np.uint64)
+    gen = StructuredGenerator(2, 1, big)
+    assert gen.inner.tolist() == [[0, 1]] and gen.inner.dtype == np.int64
+    assert structured_weight(big[0], (0, 3)) == 1
+    assert hamming_spectrum(big).counts == {0: 1, 1: 4}
+    path = tmp_path / "code.txt"
+    write_code_file(path, big)
+    assert path.read_text() == "01\n"
+    for bad in ([[0.5, 1.7]], [[2.9, 0.5]], [[10**20, 0]]):
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            StructuredGenerator(2, 1, bad)
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            write_code_file(path, bad)
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            structured_weight(bad[0], (0, 0))
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            hamming_spectrum(bad)
+
+
 def test_code_file_rejects_bad_content(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("012\n905\n")
@@ -177,21 +198,6 @@ def test_code_file_rejects_bad_content(tmp_path):
     empty.write_text("# only a comment\n")
     with pytest.raises(ValueError):
         read_code_file(empty)
-
-
-def test_spectrum_csv_layout():
-    spec = weight_spectrum(StructuredGenerator(2, 1, [[1, 2]]))
-    text = spectrum_csv(spec, header_comment="seed")
-    assert text == "# seed\nweight,count\n0,1\n2,4\n3,8\n4,4\ninf,108\n"
-
-
-def test_random_inner_generator_is_seeded():
-    a = random_inner_generator(3, 2, seed=7)
-    b = random_inner_generator(3, 2, seed=7)
-    c = random_inner_generator(3, 2, seed=8)
-    assert (a == b).all()
-    assert a.shape == (2, 3)
-    assert not (a == c).all()
 
 
 def test_weight_spectrum_guard():

@@ -428,6 +428,30 @@ def test_certificates_off_sqrt5_are_refused(tmp_path):
         load_certificate(path)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n", "0", r"n = 0 must be at least 1"),
+        ("d", "0", r"d = 0 must be a positive integer or inf"),
+        ("d", "-2", r"d = -2 must be a positive integer or inf"),
+        ("lam", "1 0.5 0.25", r"n \+ 1 = 4 values .* has 3 and 4"),
+        ("lam", "1 0.5 0.25 0.125 0", r"n \+ 1 = 4 values .* has 5 and 4"),
+        ("Lambda", "1 2 3", r"n \+ 1 = 4 values .* has 4 and 3"),
+    ],
+    ids=["n-zero", "d-zero", "d-negative", "lam-short", "lam-long", "Lambda-short"],
+)
+def test_malformed_certificates_are_refused(tmp_path, key, value, message):
+    path = tmp_path / "cert.txt"
+    save_certificate(solve_distance_lp(3, 2), path)
+    lines = [
+        f"{key} {value}" if line.split(" ")[0] == key else line
+        for line in path.read_text().splitlines()
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_certificate(path)
+
+
 # (size, lex-first witness) of every (n, d) with n <= 3 and d <= 2n or inf,
 # pinned so that a faster search keeps them; d = 1 keeps every word
 _MAX_CODES = {
