@@ -4,11 +4,13 @@ Each symbol is received either unchanged or shifted up by one (mod 5), with
 probability 1/2 independently.  Every output is therefore equally likely
 among the 2^n words reachable from the input, so maximum-likelihood
 decoding is a uniform choice among the codewords that could have produced
-the received word.  One decoder serves single words and whole batches: it
-ANDs the per-coordinate test "received minus sent is 0 or 1 (mod 5)" into a
-batch x m mask, one coordinate at a time.  The simulator draws raw Philox
-words in a fixed per-trial layout, which makes results independent of batch
-size.
+the received word.  One decoder serves single words and whole batches: a
+table per code holds, for each coordinate and received symbol, the bitset of
+codewords that can produce it ("received minus sent is 0 or 1 (mod 5)"),
+and the decoder ANDs one packed row per coordinate.  The simulator draws raw
+Philox words in a fixed per-trial layout, which makes results independent of
+batch size, and compares the sent word's rank among the plausible ones with
+the tie pick, so it never lists the candidates.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
 ]
 
 _WORDS_PER_TRIAL = 4  # message, noise bits, tie break, reserved
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 def confusable(x, y) -> bool:
@@ -59,17 +62,32 @@ def _code_symbols(code) -> np.ndarray:
     return codearr
 
 
-def _plausible_mask(code: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(batch, m) mask: codeword j can produce received word y[b].
+def _plausible_table(code: np.ndarray) -> np.ndarray:
+    """(n, 5, ceil(m/8)) uint8: bit j of [c, s] is set when codeword j can
+    produce symbol s at coordinate c, i.e. (s - code[j, c]) mod 5 is 0 or 1.
 
-    code and y hold int8 symbols in 0..4.  ANDs the per-coordinate test
-    (y - c) mod 5 in {0, 1} one coordinate at a time, so memory stays at
-    batch x m bytes whatever the length.
+    Rows are packed little-endian (codeword j is bit j % 8 of byte j // 8) and
+    the padding bits past m are clear.
     """
-    mask = np.ones((y.shape[0], code.shape[0]), dtype=bool)
-    for c in range(code.shape[1]):
-        mask &= (y[:, c, None] - code[None, :, c]) % 5 <= 1
-    return mask
+    fits = (np.arange(5)[None, :, None] - code.T[:, None, :]) % 5 <= 1
+    return np.packbits(fits, axis=-1, bitorder="little")
+
+
+def _plausible_rows(table: np.ndarray, m: int, columns, b: int) -> np.ndarray:
+    """(b, ceil(m/8)) packed rows: the codewords that can produce each of b
+    received words, as bits in the layout of _plausible_table.
+
+    columns yields, coordinate by coordinate, the b received symbols (any
+    integers, read mod 5).  Each is ANDed in through one table lookup, so no
+    b x n or b x m array is built.
+    """
+    rows = np.empty((b, table.shape[2]), dtype=np.uint8)
+    rows[:] = np.packbits(np.ones(m, dtype=bool), bitorder="little")
+    scratch = np.empty_like(rows)
+    for c, y in enumerate(columns):
+        np.take(table[c], y, axis=0, mode="wrap", out=scratch)
+        rows &= scratch
+    return rows
 
 
 def plausible_codewords(code, y) -> list:
@@ -80,7 +98,9 @@ def plausible_codewords(code, y) -> list:
         raise ValueError(
             f"received word of shape {yarr.shape} does not match code of shape {codearr.shape}"
         )
-    return np.flatnonzero(_plausible_mask(codearr, yarr[None, :])[0]).tolist()
+    m = codearr.shape[0]
+    row = _plausible_rows(_plausible_table(codearr), m, yarr[:, None], 1)[0]
+    return np.flatnonzero(np.unpackbits(row, count=m, bitorder="little")).tolist()
 
 
 def ml_decode(code, y, tie: int = 0) -> int:
@@ -110,36 +130,58 @@ class SimResult:
         )
 
 
+def _integer_arg(value, name: str) -> int:
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimResult:
     """Estimate block error probability of ML decoding with uniform messages.
 
     Trial t consumes raw words 4t..4t+3 of Philox(key=seed): message index,
     noise bits (one per coordinate), tie break, one reserved.  The layout is
-    fixed, so any batch size gives the identical error count.
+    fixed, so any batch size gives the identical error count.  A trial errs
+    when the sent word is not the (tie mod count)-th plausible codeword in
+    code order.  Memory is at most about 4 ceil(m/8) + 128 bytes per trial of
+    a batch, whatever the length n.
     """
     codearr = _code_symbols(code)
     m, n = codearr.shape
     if n > 64:
         raise ValueError("noise layout supports at most 64 coordinates")
+    trials = _integer_arg(trials, "trials")
+    batch = _integer_arg(batch, "batch")
+    seed = _integer_arg(seed, "seed")
     if trials < 1:
         raise ValueError("need at least one trial")
     if batch < 1:
         raise ValueError(f"batch {batch} must be at least 1")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed {seed} is outside [0, 2^128)")
+    table = _plausible_table(codearr)
+    columns = codearr.T.astype(np.uint64)
     bitgen = np.random.Philox(key=seed)
-    shifts = np.arange(n, dtype=np.uint64)
+    one = np.uint64(1)
     errors = 0
     done = 0
     while done < trials:
         b = min(batch, trials - done)
         raw = bitgen.random_raw(_WORDS_PER_TRIAL * b).reshape(b, _WORDS_PER_TRIAL)
-        msg = (raw[:, 0] % np.uint64(m)).astype(np.int64)
-        noise = ((raw[:, 1, None] >> shifts) & np.uint64(1)).astype(np.int8)
-        y = (codearr[msg] + noise) % 5
-        plaus = _plausible_mask(codearr, y)
-        counts = plaus.sum(axis=1)
-        choose = (raw[:, 2] % counts.astype(np.uint64)).astype(np.int64)
-        decoded = (plaus.cumsum(axis=1, dtype=np.int32) > choose[:, None]).argmax(axis=1)
-        errors += int((decoded != msg).sum())
+        msg = (raw[:, 0] % np.uint64(m)).astype(np.intp)
+        noise = raw[:, 1]
+        rows = _plausible_rows(
+            table, m, (columns[c][msg] + (noise >> np.uint64(c) & one) for c in range(n)), b
+        )
+        # rank of msg among the plausible words: whole bytes below its byte,
+        # then the bits below it within that byte
+        pop = _POPCOUNT[rows]
+        count = pop.sum(axis=1)
+        byte = msg >> 3
+        low = rows[np.arange(b), byte] & ((1 << (msg & 7)) - 1)
+        pop *= np.arange(rows.shape[1]) < byte[:, None]
+        rank = pop.sum(axis=1) + _POPCOUNT[low]
+        errors += int(np.count_nonzero(rank != raw[:, 2] % count))
         done += b
     p = errors / trials
     ci = 1.96 * math.sqrt(p * (1.0 - p) / trials)

@@ -512,9 +512,9 @@ def save_certificate(sol: LPSolution, path) -> None:
 def load_certificate(path) -> LPSolution:
     """Read a save_certificate file.
 
-    A file whose qprime is not sqrt 5, whose n is below 1, whose d is not a
-    positive integer or inf, or whose lam or Lambda does not hold n + 1
-    values is refused with ValueError.
+    A file that lacks one of the save_certificate keys, whose qprime is not
+    sqrt 5, whose n is below 1, whose d is not a positive integer or inf, or
+    whose lam or Lambda does not hold n + 1 values is refused with ValueError.
     """
     fields = {}
     with open(path, encoding="ascii") as fh:
@@ -524,6 +524,9 @@ def load_certificate(path) -> LPSolution:
                 continue
             key, _, rest = line.partition(" ")
             fields[key] = rest
+    for key in ("n", "d", "qprime", "status", "objective", "lam", "Lambda"):
+        if key not in fields:
+            raise ValueError(f"certificate has no {key} line")
     qprime = float(fields["qprime"])
     if abs(qprime - QPRIME) > 1e-9:
         raise ValueError(f"certificate qprime {qprime} is not sqrt 5")

@@ -8,6 +8,7 @@ first so the expensive cold-cache searches are timed honestly.
 import itertools
 import math
 import time
+from fractions import Fraction
 
 from typewriter_bounds import (
     channel,
@@ -143,6 +144,16 @@ def test_criterion_10_union_bound_dominates_simulation():
     code = construction.code_from_generator(gen)
     result = channel.monte_carlo_pe(code, 10**6, seed=0)
     assert result.estimate <= pe_bound + 3.0 * result.ci95
+    assert result.errors == 687786
+    # exact Pe = 1 - |Y| / (m 2^n), Y the union of c + {0, 1}^n over the code
+    m, n = code.shape
+    outputs = {
+        tuple((c + e) % 5) for c in code for e in itertools.product((0, 1), repeat=n)
+    }
+    exact = 1 - Fraction(len(outputs), m * 2**n)
+    assert exact == Fraction(11, 16) <= pe_bound
+    sigma = math.sqrt(exact * (1 - exact) / 10**6)
+    assert abs(result.estimate - exact) <= 3.0 * sigma
 
     for pair, dist in ([[(0, 0, 0), (1, 1, 0)], 2], [[(0, 0, 0, 0), (1, 1, 1, 0)], 3]):
         rate = 2.0 ** (-dist - 1)

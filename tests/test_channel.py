@@ -1,9 +1,12 @@
 """Confusability, ML decoding, and the Monte Carlo error estimator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from typewriter_bounds.channel import (
     SimResult,
@@ -76,18 +79,49 @@ def test_monte_carlo_count_on_the_criterion_10_code():
     assert monte_carlo_pe(code, 1 << 16, seed=7).errors == 45116
 
 
-def test_ml_decode_replays_monte_carlo():
+def _replayed_errors(code, trials, seed):
     # trial t reads raw Philox words 4t..4t+3: message, noise bits, tie break
-    code = [(0, 0, 0), (1, 1, 0), (0, 1, 1), (3, 3, 3), (1, 0, 0)]
-    trials, seed = 3000, 5
     raw = np.random.Philox(key=seed).random_raw(4 * trials).reshape(trials, 4)
     errors = 0
     for msg_word, noise_word, tie, _ in raw.tolist():
         msg = msg_word % len(code)
         y = tuple((c + (noise_word >> i & 1)) % 5 for i, c in enumerate(code[msg]))
         errors += ml_decode(code, y, tie) != msg
+    return errors
+
+
+def test_ml_decode_replays_monte_carlo():
+    code = [(0, 0, 0), (1, 1, 0), (0, 1, 1), (3, 3, 3), (1, 0, 0)]
+    errors = _replayed_errors(code, 3000, 5)
     assert errors > 0
-    assert monte_carlo_pe(code, trials, seed, batch=700).errors == errors
+    assert monte_carlo_pe(code, 3000, 5, batch=700).errors == errors
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    m=st.integers(1, 130),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**64 - 1),
+    batch=st.integers(1, 40),
+)
+def test_monte_carlo_matches_the_replay_across_byte_boundaries(m, n, seed, batch):
+    # m up to 130 crosses the 8-, 64- and 128-word edges of the packed rows
+    code = [tuple(w) for w in np.random.default_rng(seed).integers(0, 5, size=(m, n)).tolist()]
+    assert monte_carlo_pe(code, 25, seed, batch=batch).errors == _replayed_errors(code, 25, seed)
+
+
+def test_monte_carlo_memory_cap():
+    # the criterion-10 code at the default batch of 2^16: the documented
+    # 4 ceil(m/8) + 128 bytes per trial come to 12 MiB at m = 125 (7.1 MiB
+    # is reached)
+    code = code_from_generator(StructuredGenerator(2, 1, [[1, 2]]))
+    tracemalloc.start()
+    try:
+        monte_carlo_pe(code, 1 << 17, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak / 2**20
 
 
 def test_two_codeword_error_rate():
@@ -129,6 +163,31 @@ def test_monte_carlo_input_validation():
     for batch in (0, -1):
         with pytest.raises(ValueError):
             monte_carlo_pe([(0, 0), (1, 1)], 10, seed=0, batch=batch)
+
+
+@pytest.mark.parametrize(
+    "trials, seed, batch, message",
+    [
+        (2.5, 0, 1, r"^trials must be an integer, not 2\.5$"),
+        (True, 0, 1, r"^trials must be an integer, not True$"),
+        (10, 0, 1.0, r"^batch must be an integer, not 1\.0$"),
+        (10, 0, np.True_, r"^batch must be an integer, not "),
+        (10, 1.5, 1, r"^seed must be an integer, not 1\.5$"),
+        (10, -1, 1, r"^seed -1 is outside \[0, 2\^128\)$"),
+        (10, 1 << 128, 1, r"^seed 340282366920938463463374607431768211456 is outside"),
+    ],
+    ids=["trials-float", "trials-bool", "batch-float", "batch-numpy-bool", "seed-float",
+         "seed-negative", "seed-too-large"],
+)
+def test_monte_carlo_refuses_bad_arguments(trials, seed, batch, message):
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_pe([(0, 0), (1, 1)], trials, seed, batch=batch)
+
+
+def test_monte_carlo_takes_numpy_integers_and_the_largest_seed():
+    pair = [(0, 0, 0), (1, 1, 0)]
+    assert monte_carlo_pe(pair, np.int64(30000), np.uint8(3), batch=np.int32(1024)).errors == 3744
+    assert monte_carlo_pe(pair, 10, (1 << 128) - 1).seed == (1 << 128) - 1
 
 
 def test_sim_result_fields_are_consistent():

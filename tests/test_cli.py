@@ -214,6 +214,15 @@ def test_simulate_rejects_an_empty_code_file(tmp_path, capsys):
     assert "error: empty code file" in capsys.readouterr().err
 
 
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
+    codefile = tmp_path / "pair.txt"
+    codefile.write_text("000\n110\n")
+    assert main(["simulate", "--code", str(codefile), "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed -1 is outside [0, 2^128)\n"
+
+
 def _fresh_interpreter(args, cwd):
     """Run python with args in a new process that imports ./src first."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -437,15 +437,18 @@ def test_certificates_off_sqrt5_are_refused(tmp_path):
         ("lam", "1 0.5 0.25", r"n \+ 1 = 4 values .* has 3 and 4"),
         ("lam", "1 0.5 0.25 0.125 0", r"n \+ 1 = 4 values .* has 5 and 4"),
         ("Lambda", "1 2 3", r"n \+ 1 = 4 values .* has 4 and 3"),
+        ("status", None, r"^certificate has no status line$"),
     ],
-    ids=["n-zero", "d-zero", "d-negative", "lam-short", "lam-long", "Lambda-short"],
+    ids=["n-zero", "d-zero", "d-negative", "lam-short", "lam-long", "Lambda-short", "no-status"],
 )
 def test_malformed_certificates_are_refused(tmp_path, key, value, message):
+    # value None drops the key's line
     path = tmp_path / "cert.txt"
     save_certificate(solve_distance_lp(3, 2), path)
     lines = [
         f"{key} {value}" if line.split(" ")[0] == key else line
         for line in path.read_text().splitlines()
+        if value is not None or line.split(" ")[0] != key
     ]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
