@@ -142,12 +142,10 @@ class Spectrum:
 
 
 def _all_words(n: int) -> np.ndarray:
-    """All of Z5^n as an array of shape (5^n, n), lexicographic order."""
+    """All of Z5^n as an int64 array of shape (5^n, n), lexicographic order;
+    at n = 0 that is the one empty word."""
     idx = np.arange(5**n)
-    cols = []
-    for pos in range(n):
-        cols.append((idx // 5 ** (n - 1 - pos)) % 5)
-    return np.stack(cols, axis=1).astype(np.int64)
+    return (idx[:, None] // 5 ** np.arange(n - 1, -1, -1)) % 5
 
 
 def weight_spectrum(gen: StructuredGenerator) -> Spectrum:
@@ -159,12 +157,10 @@ def weight_spectrum(gen: StructuredGenerator) -> Spectrum:
     if gen.message_count > _ENUM_GUARD:
         raise ValueError(f"5^(n+k) = {gen.message_count} exceeds guard {_ENUM_GUARD}")
     u1_block = _all_words(gen.n)
-    u2_block = _all_words(gen.k) if gen.k else np.zeros((1, 0), dtype=np.int64)
     counts: dict[int, int] = {}
     infinite = 0
     max_finite = 2 * gen.n
-    for u2 in u2_block:
-        nu = (u2 @ gen.inner) % 5 if gen.k else np.zeros(gen.n, dtype=np.int64)
+    for nu in (_all_words(gen.k) @ gen.inner) % 5:
         w = _CONTRIB[u1_block, nu].sum(axis=1)
         finite = w[w <= max_finite]
         infinite += w.size - finite.size
@@ -183,13 +179,12 @@ def hamming_spectrum(G) -> Spectrum:
     if 5**k > _ENUM_GUARD:
         raise ValueError(f"5^k = {5**k} exceeds guard {_ENUM_GUARD}")
     counts: dict[int, int] = {}
-    batch = 5**5
-    total = 5**k
-    for start in range(0, total, batch):
-        idx = np.arange(start, min(start + batch, total))
-        msgs = np.stack([(idx // 5 ** (k - 1 - p)) % 5 for p in range(k)], axis=1) if k else np.zeros((1, 0), dtype=np.int64)
-        words = (msgs @ g) % 5
-        w = np.count_nonzero(words, axis=1)
+    # one batch per value of the leading k - low digits: the 5^low values of
+    # the last low digits, at most 5^5 words
+    low = min(k, 5)
+    low_part = _all_words(low) @ g[k - low :]
+    for top in _all_words(k - low):
+        w = np.count_nonzero((top @ g[: k - low] + low_part) % 5, axis=1)
         vals, cnt = np.unique(w, return_counts=True)
         for v, c in zip(vals.tolist(), cnt.tolist()):
             counts[v] = counts.get(v, 0) + c
@@ -249,9 +244,8 @@ def code_from_generator(gen: StructuredGenerator) -> np.ndarray:
     if gen.message_count > _ENUM_GUARD // 10:
         raise ValueError("code too large to materialise")
     u1 = _all_words(gen.n)
-    u2 = _all_words(gen.k) if gen.k else np.zeros((1, 0), dtype=np.int64)
-    nu = (u2 @ gen.inner) % 5 if gen.k else np.zeros((1, gen.n), dtype=np.int64)
-    left = np.repeat(u1, len(u2), axis=0)
+    nu = (_all_words(gen.k) @ gen.inner) % 5
+    left = np.repeat(u1, len(nu), axis=0)
     right = (2 * left + np.tile(nu, (len(u1), 1))) % 5
     return np.hstack([left, right])
 

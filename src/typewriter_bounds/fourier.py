@@ -1,13 +1,10 @@
 """Fourier analysis on Z_5^n used by the linear-programming code bounds.
 
-Transforms use the symmetric kernel exp(+2 pi i <w, x> / 5), applied axis by
-axis as a matrix product with one 5 x 5 kernel.  The dense 5^n transforms
-serve the self-checks and the tests.  lpbound applies 3 x 3 slices of the
-same kernels, with the same per-axis product: the idft slice builds its
-certificate on the 3^n words of {0, +-1}^n, where it lives, and the dft
-slice evaluates the certificate's transform on the 3^n words of
-{0, 1, 2}^n, which hold every value of that transform because the
-certificate is even in every coordinate.
+Transforms use the symmetric kernel exp(+2 pi i <w, x> / 5), so dft is 5^n
+times numpy's inverse FFT and idft is numpy's forward FFT over 5^n.  These
+dense 5^n transforms serve the self-checks and the tests; lpbound checks
+its certificate with 3 x 3 blocks of the same kernels instead, on the 3^n
+words where the certificate and its transform take every value.
 
 The central object is the product witness function that is 1 at the origin
 and 1/(2 cos(pi/5)) at the 2n words that differ from it by one cyclic step:
@@ -48,13 +45,6 @@ _SIZE_GUARD = 10**7
 _Q = 5
 _COS = math.cos(math.pi / _Q)
 
-_PHASES = np.outer(np.arange(_Q), np.arange(_Q))
-# shared by every transform, so read-only
-_DFT_KERNEL = np.exp(2j * np.pi * _PHASES / _Q)
-_IDFT_KERNEL = np.exp(-2j * np.pi * _PHASES / _Q) / _Q
-_DFT_KERNEL.setflags(write=False)
-_IDFT_KERNEL.setflags(write=False)
-
 
 def _check_range(name: str, k, n: int) -> None:
     """Refuse k unless it is one of the integers 0..n."""
@@ -70,8 +60,6 @@ class GroupFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need n >= 1")
         _check_size(self.n)
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (_Q,) * self.n:
@@ -85,31 +73,21 @@ class GroupFunction:
 
 
 def _check_size(n: int) -> None:
-    """Refuse Z_5^n before allocating anything of size 5^n."""
+    """Refuse Z_5^n for n < 1, or before allocating anything of size 5^n."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     if _Q**n > _SIZE_GUARD:
         raise ValueError(f"q^n = {_Q**n} exceeds guard {_SIZE_GUARD}")
 
 
-def _apply_axes(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Contract every axis of arr with the columns of kernel, in axis order.
-
-    A rectangular (rows x cols) kernel maps axes of length cols to length
-    rows, so a slice of a transform kernel transforms functions supported on
-    a sub-cube, or evaluates the transform on one.
-    """
-    for axis in range(arr.ndim):
-        arr = np.moveaxis(np.tensordot(kernel, arr, axes=([1], [axis])), 0, axis)
-    return arr
-
-
 def dft(f: GroupFunction) -> GroupFunction:
     """f_hat(w) = sum_x f(x) exp(+2 pi i <w, x> / 5)."""
-    return GroupFunction(f.n, _apply_axes(f.values, _DFT_KERNEL))
+    return GroupFunction(f.n, _Q**f.n * np.fft.ifftn(f.values))
 
 
 def idft(f: GroupFunction) -> GroupFunction:
     """Inverse of dft: 5^-n sum_w f(w) exp(-2 pi i <w, x> / 5)."""
-    return GroupFunction(f.n, _apply_axes(f.values, _IDFT_KERNEL))
+    return GroupFunction(f.n, np.fft.fftn(f.values) / _Q**f.n)
 
 
 def inner(f: GroupFunction, g: GroupFunction) -> complex:
@@ -125,6 +103,7 @@ def lovasz_assignment(n: int) -> GroupFunction:
     Built as the n-fold product of the one-letter assignment, so g(x) =
     phi^(number of nonzero coordinates) on {0, +-1}^n and 0 elsewhere.
     """
+    _check_size(n)
     phi = 1.0 / (2.0 * _COS)
     one = np.array([1.0, phi, 0.0, 0.0, phi])
     return GroupFunction(n, functools.reduce(np.multiply.outer, (one,) * n))

@@ -24,17 +24,8 @@ import numpy as np
 
 from .construction import INF, word_distance
 from .curves import _fmt
-from .fourier import (
-    _COS,
-    _DFT_KERNEL,
-    _IDFT_KERNEL,
-    _Q,
-    GroupFunction,
-    _apply_axes,
-    _check_size,
-    lovasz_bound,
-)
-from .scalars import _MAX_KRAWTCHOUK_N, _POWERS, QPRIME, bisect_root, krawtchouk
+from .fourier import _COS, _Q, _SIZE_GUARD, GroupFunction, _check_size, lovasz_bound
+from .scalars import _MAX_KRAWTCHOUK_N, _POWERS, QPRIME, _krawtchouk_row, bisect_root, krawtchouk
 from .simplex import simplex_solve
 
 __all__ = [
@@ -55,6 +46,15 @@ __all__ = [
 
 _CUBE = (0, 1, _Q - 1)  # the symbols where the certificate lives
 _HALF = (0, 1, 2)  # one symbol of each pair {w, -w} of frequencies
+_SPHERE = (0, (_Q - 1) // 2, (_Q + 1) // 2)  # where the multiplier's transform lives
+# the two 3 x 3 blocks of the transform kernels that the certificate uses:
+# exp(+2 pi i w x / 5) at w in _HALF, x in _CUBE for its transform, and
+# exp(-2 pi i w x / 5) / 5 at x in _CUBE, w in _SPHERE for the multiplier;
+# shared by every call, so read-only
+_HALF_DFT = np.exp(2j * np.pi * np.outer(_HALF, _CUBE) / _Q)
+_CUBE_IDFT = np.exp(-2j * np.pi * np.outer(_CUBE, _SPHERE) / _Q) / _Q
+_HALF_DFT.setflags(write=False)
+_CUBE_IDFT.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -89,29 +89,14 @@ def _normalize_d(n: int, d) -> float:
 def _kraw_table(n: int) -> np.ndarray:
     """K[u, ell] = K_ell(u) for u, ell = 0..n, built once per n.
 
-    Row u is the term plane T[ell, j] = (-1)^j (q'-1)^(ell-j) C(u, j)
-    C(n-u, ell-j), built with numpy in the product order of
-    scalars.krawtchouk, and each row's nonzero terms (a contiguous run of j)
-    are summed by math.fsum, so every entry equals the scalar evaluator's
-    bit for bit.  Every caller shares the cached array, so it is read-only.
-    n > 64 is refused as krawtchouk refuses it, so the cache holds at most
-    64 tables (0.75 MB).
+    Row u is scalars._krawtchouk_row(n, u), the term sum krawtchouk uses,
+    so every entry equals the scalar evaluator's bit for bit.  Every caller
+    shares the cached array, so it is read-only.  n > 64 is refused as
+    krawtchouk refuses it, so the cache holds at most 64 tables (0.75 MB).
     """
     if n < 0 or n > _MAX_KRAWTCHOUK_N:
         raise ValueError(f"n={n} outside supported range [0, {_MAX_KRAWTCHOUK_N}]")
-    idx = np.arange(n + 1)
-    gap = np.maximum(idx[:, None] - idx, 0)  # ell - j where j <= ell
-    power = np.array(_POWERS[: n + 1])
-    signed = np.where(idx % 2 == 1, -1.0, 1.0) * power[gap]
-    comb = np.array([[float(math.comb(m, j)) for j in range(n + 1)] for m in range(n + 1)])
-    K = np.empty((n + 1, n + 1))
-    for u in range(n + 1):
-        rows = (signed * comb[u] * comb[n - u][gap]).tolist()
-        # C(u, j) C(n-u, ell-j) is nonzero exactly for these j
-        K[u] = [
-            math.fsum(row[max(0, ell - n + u) : min(u, ell) + 1])
-            for ell, row in enumerate(rows)
-        ]
+    K = np.array([_krawtchouk_row(n, u) for u in range(n + 1)])
     K.setflags(write=False)
     return K
 
@@ -272,6 +257,24 @@ def mrrw_params(n: int, d: int):
     return best
 
 
+def _apply_axes(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Contract every axis of arr with the columns of kernel, in axis order.
+
+    A 3 x 3 block of a transform kernel maps a function on one sub-cube of
+    Z_5^n to its transform, or inverse transform, on another.
+    """
+    for axis in range(arr.ndim):
+        arr = np.moveaxis(np.tensordot(kernel, arr, axes=([1], [axis])), 0, axis)
+    return arr
+
+
+def _require_certificate(sol: LPSolution) -> None:
+    """A failed LP has no certificate: a status other than optimal or
+    certificate, or a non-finite lam, raises ValueError."""
+    if sol.status not in ("optimal", "certificate") or not all(map(math.isfinite, sol.lam)):
+        raise ValueError(f"no certificate to check: LP status {sol.status}")
+
+
 def _cube_certificate(sol: LPSolution) -> tuple[np.ndarray, np.ndarray]:
     """The certificate f on {0, 1, 4}^n, and the typewriter weights there.
 
@@ -279,20 +282,18 @@ def _cube_certificate(sol: LPSolution) -> tuple[np.ndarray, np.ndarray]:
     is the outer product of (1, phi, phi).  The multiplier's transform is
     5^n lam_ell (2 cos)^-ell on the ell-th frequency sphere and 0 off the
     spheres, so it lives on {0, 2, 3}^n, and h on the cube is the idft
-    restricted to those rows and columns: one 3 x 3 sub-kernel per axis.
+    restricted to those rows and columns: the block _CUBE_IDFT per axis.
     On both cubes the sphere index and the typewriter weight are the number
-    of nonzero coordinates.  A failed LP has no certificate: a status other
-    than optimal or certificate, or a non-finite lam, raises ValueError.
+    of nonzero coordinates.  A solution without a certificate, or 3^n above
+    the fourier size guard, raises ValueError before anything is allocated.
     """
+    _require_certificate(sol)
     n = sol.n
-    if sol.status not in ("optimal", "certificate") or not all(map(math.isfinite, sol.lam)):
-        raise ValueError(f"no certificate to check: LP status {sol.status}")
-    # shared with certificate_function, which goes on to a dense 5^n array
-    _check_size(n)
+    if 3**n > _SIZE_GUARD:
+        raise ValueError(f"3^n = {3**n} exceeds guard {_SIZE_GUARD}")
     count = functools.reduce(np.add.outer, (np.array([0, 1, 1], dtype=np.int8),) * n)
     coeffs = np.array([_Q**n * lam / (2.0 * _COS) ** ell for ell, lam in enumerate(sol.lam)])
-    sphere = (0, (_Q - 1) // 2, (_Q + 1) // 2)
-    h = _apply_axes(coeffs[count], _IDFT_KERNEL[np.ix_(_CUBE, sphere)])
+    h = _apply_axes(coeffs[count], _CUBE_IDFT)
     phi = 1.0 / (2.0 * _COS)
     g = functools.reduce(np.multiply.outer, (np.array([1.0, phi, phi]),) * n)
     return g * h, count
@@ -309,6 +310,8 @@ def certificate_function(sol: LPSolution) -> GroupFunction:
     and scattered into zeros; 5^n above the fourier size guard raises
     ValueError before anything is allocated.
     """
+    _require_certificate(sol)
+    _check_size(sol.n)
     f, _ = _cube_certificate(sol)
     values = np.zeros((_Q,) * sol.n, dtype=np.complex128)
     values[np.ix_(*(_CUBE,) * sol.n)] = f
@@ -341,13 +344,13 @@ def verify_certificate(sol: LPSolution) -> CertificateReport:
     the inverse transform of a function of the number of +-2 coordinates,
     which negating a frequency coordinate does not change.  So f_hat(w) is
     unchanged when any w_i is negated, every value f_hat takes on Z_5^n is
-    taken on {0, 1, 2}^n, and f_hat is evaluated only there: the 3 x 3 slice
-    of the dft kernel per axis, in the same per-axis product as the dense
-    dft.  No array here has more than 3^n entries, and the peak stays under
-    five complex 3^n arrays.  The n <= 10 size guard is the one shared with
-    certificate_function; it raises ValueError before anything is
-    allocated.  A solution whose status is neither optimal nor certificate,
-    or whose lam is not finite, is refused with ValueError.
+    taken on {0, 1, 2}^n, and f_hat is evaluated only there: the block
+    _HALF_DFT per axis.  No array here has more than 3^n entries, and the
+    peak stays under five complex 3^n arrays.  3^n is held to the fourier
+    size guard of 10^7 entries, so n <= 14; a larger n raises ValueError
+    before anything is allocated.  A solution whose status is neither
+    optimal nor certificate, or whose lam is not finite, is refused with
+    ValueError.
     """
     f, weight = _cube_certificate(sol)
     fr = f.real
@@ -356,7 +359,7 @@ def verify_certificate(sol: LPSolution) -> CertificateReport:
     threshold = n + 1 if sol.d > n else math.ceil(sol.d)
     # max keeps its first argument on a tie, so a zero maximum is reported as +0.0
     worst = max(0.0, float(np.max(fr, where=weight >= threshold, initial=-math.inf)))
-    fhat = _apply_axes(f, _DFT_KERNEL[np.ix_(_HALF, _CUBE)]).real
+    fhat = _apply_axes(f, _HALF_DFT).real
     tmin = float(fhat.min())
     hatscale = max(float(fhat.max()), -tmin)
     origin = (0,) * n

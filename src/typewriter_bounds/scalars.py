@@ -30,8 +30,13 @@ LOG5 = math.log2(5.0)
 # the effective alphabet size 1 + 1/cos(pi/5) of the 5-input typewriter's
 # distance LP; the same double as math.sqrt(5.0)
 QPRIME = 1.0 + 1.0 / math.cos(math.pi / 5.0)
-# (q'-1)^k for k = 0..64, shared by every Krawtchouk evaluation
+# (q'-1)^k and k! (rounded once, as the division p / k! rounds it) for
+# k = 0..64, and the Krawtchouk term factors (-1)^j (q'-1)^(ell-j) at [ell][j]
 _POWERS = tuple((QPRIME - 1.0) ** k for k in range(_MAX_KRAWTCHOUK_N + 1))
+_FACTORIALS = tuple(float(math.factorial(k)) for k in range(_MAX_KRAWTCHOUK_N + 1))
+_SIGNED_POWERS = tuple(
+    tuple((-1.0) ** j * _POWERS[ell - j] for j in range(ell + 1)) for ell in range(len(_POWERS))
+)
 
 
 def qary_entropy(t: float, q: float) -> float:
@@ -89,20 +94,38 @@ def bisect_root(f, lo: float, hi: float) -> float:
 
 
 def _binomial_row(u: float, top: int) -> list[float]:
-    """[C(u, j) for j = 0..top]: exact comb for integer u >= 0, else one
-    running falling factorial u (u-1) ... (u-j+1) divided by j!."""
+    """[C(u, j) for j = 0..top], cut after its last nonzero entry: exact comb
+    for integer u >= 0, which stops at j = u, else one running falling
+    factorial u (u-1) ... (u-j+1) divided by j!."""
     if top < 0:
         raise ValueError("lower index must be nonnegative")
     if isinstance(u, int) or float(u).is_integer():
         ui = int(round(u))
         if 0 <= ui:
-            return [float(math.comb(ui, j)) if j <= ui else 0.0 for j in range(top + 1)]
+            return [float(math.comb(ui, j)) for j in range(min(ui, top) + 1)]
     row = [1.0]
     p = 1.0
     for j in range(1, top + 1):
         p *= u - (j - 1)
-        row.append(p / math.factorial(j))
+        row.append(p / _FACTORIALS[j])
     return row
+
+
+def _term_sum(ell: int, cu_row: list[float], cn_row: list[float]) -> float:
+    """math.fsum of (-1)^j (q'-1)^(ell-j) C(u, j) C(n-u, ell-j) over the j
+    where both binomial rows have an entry, that is where neither is 0."""
+    signed = _SIGNED_POWERS[ell]
+    low = max(0, ell - len(cn_row) + 1)
+    return math.fsum(
+        [signed[j] * cu_row[j] * cn_row[ell - j] for j in range(low, min(ell, len(cu_row) - 1) + 1)]
+    )
+
+
+def _check_degree(n: int, ell: int) -> None:
+    if n < 0 or n > _MAX_KRAWTCHOUK_N:
+        raise ValueError(f"n={n} outside supported range [0, {_MAX_KRAWTCHOUK_N}]")
+    if not 0 <= ell <= n:
+        raise ValueError(f"degree {ell} outside [0, {n}]")
 
 
 def krawtchouk(n: int, ell: int, u: float) -> float:
@@ -112,20 +135,16 @@ def krawtchouk(n: int, ell: int, u: float) -> float:
     compensated summation (math.fsum); n above 64 is refused because the term
     magnitudes then outgrow what double precision can cancel reliably.
     """
-    if n < 0 or n > _MAX_KRAWTCHOUK_N:
-        raise ValueError(f"n={n} outside supported range [0, {_MAX_KRAWTCHOUK_N}]")
-    if not 0 <= ell <= n:
-        raise ValueError(f"degree {ell} outside [0, {n}]")
-    cu_row = _binomial_row(u, ell)
-    cn_row = _binomial_row(n - u, ell)
-    terms = []
-    for j in range(ell + 1):
-        cu = cu_row[j]
-        cn = cn_row[ell - j]
-        if cu == 0.0 or cn == 0.0:
-            continue
-        terms.append((-1.0) ** j * _POWERS[ell - j] * cu * cn)
-    return math.fsum(terms)
+    _check_degree(n, ell)
+    return _term_sum(ell, _binomial_row(u, ell), _binomial_row(n - u, ell))
+
+
+def _krawtchouk_row(n: int, u: float) -> list[float]:
+    """[K_ell(u; n, q') for ell = 0..n] for n in 0..64, each entry
+    krawtchouk's bit for bit: the binomial rows are built once, and a row
+    cut at top = n agrees with the one cut at top = ell on every j <= ell."""
+    cu_row, cn_row = _binomial_row(u, n), _binomial_row(n - u, n)
+    return [_term_sum(ell, cu_row, cn_row) for ell in range(n + 1)]
 
 
 def krawtchouk_recurrence(n: int, ell: int, u: float) -> float:
@@ -133,10 +152,7 @@ def krawtchouk_recurrence(n: int, ell: int, u: float) -> float:
 
     (l+1) K_{l+1}(u) = [(q'-1)(n-l) + l - q'u] K_l(u) - (q'-1)(n-l+1) K_{l-1}(u)
     """
-    if n < 0 or n > _MAX_KRAWTCHOUK_N:
-        raise ValueError(f"n={n} outside supported range [0, {_MAX_KRAWTCHOUK_N}]")
-    if not 0 <= ell <= n:
-        raise ValueError(f"degree {ell} outside [0, {n}]")
+    _check_degree(n, ell)
     km1, k = 0.0, 1.0
     for l in range(ell):
         nxt = (((QPRIME - 1.0) * (n - l) + l - QPRIME * u) * k

@@ -105,13 +105,19 @@ def _check_gv_zero_rate():
 
 
 def _check_transform_oracle():
-    rng = np.random.default_rng(7)
-    vals = rng.standard_normal((5, 5, 5))
-    f = fourier.GroupFunction(3, vals)
-    got = fourier.dft(f).values
-    want = 5**3 * np.fft.ifftn(vals)
-    err = float(np.abs(got - want).max())
-    return err <= 1e-9, f"dft vs fft oracle, max abs err {err:.3e}"
+    # lpbound's two kernel blocks against numpy's FFT, on a random function
+    # placed on {0, +-1}^3 and on {0, +-2}^3
+    vals = np.random.default_rng(7).standard_normal((3, 3, 3))
+    cube, sphere = np.ix_(*(lpbound._CUBE,) * 3), np.ix_(*(lpbound._SPHERE,) * 3)
+    on_cube, on_sphere = np.zeros((5, 5, 5)), np.zeros((5, 5, 5))
+    on_cube[cube], on_sphere[sphere] = vals, vals
+    half_dft = 5**3 * np.fft.ifftn(on_cube)[np.ix_(*(lpbound._HALF,) * 3)]
+    cube_idft = np.fft.fftn(on_sphere)[cube] / 5**3
+    err = max(
+        float(np.abs(lpbound._apply_axes(vals, lpbound._HALF_DFT) - half_dft).max()),
+        float(np.abs(lpbound._apply_axes(vals, lpbound._CUBE_IDFT) - cube_idft).max()),
+    )
+    return err <= 1e-9, f"kernel blocks vs fft oracle, max abs err {err:.3e}"
 
 
 def _check_parseval():

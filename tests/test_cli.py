@@ -134,10 +134,10 @@ def test_lp_mrrw_multiplier(capsys):
 
 
 def test_lp_verify_refuses_lengths_beyond_the_size_guard(capsys):
-    assert main(["lp", "--n", "11", "--d", "3", "--verify"]) == 1
+    assert main(["lp", "--n", "15", "--d", "3", "--verify"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: q^n = 48828125 exceeds guard 10000000" in captured.err
+    assert "error: 3^n = 14348907 exceeds guard 10000000" in captured.err
 
 
 def test_lp_usage_errors():

@@ -9,10 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typewriter_bounds.fourier import (
-    _DFT_KERNEL,
-    _IDFT_KERNEL,
     GroupFunction,
-    _apply_axes,
     canonical_sphere_word,
     dft,
     freq_sphere_indicator,
@@ -22,7 +19,9 @@ from typewriter_bounds.fourier import (
     lovasz_bound,
     sphere_transform,
     sphere_transform_closed_form,
+    symbol_count,
 )
+from typewriter_bounds.lpbound import _CUBE, _CUBE_IDFT, _HALF, _HALF_DFT, _SPHERE, _apply_axes
 from typewriter_bounds.scalars import QPRIME
 
 
@@ -43,11 +42,25 @@ def test_group_function_validation():
             f[word]
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_dense_functions_refuse_lengths_below_one(n):
+    for call in (lovasz_assignment, lambda n: symbol_count(n, (2, 3))):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            call(n)
+
+
 def test_dft_matches_fft_oracle():
     f = _random_function(2, seed=3)
+    fhat = dft(f)
     # with the +i kernel the transform is q^n times numpy's inverse FFT
-    want = 25.0 * np.fft.ifftn(f.values)
-    assert np.allclose(dft(f).values, want, atol=1e-12)
+    assert np.allclose(fhat.values, 25.0 * np.fft.ifftn(f.values), atol=1e-12)
+    # and the definition, summed directly
+    for w in itertools.product(range(5), repeat=2):
+        direct = sum(
+            f[x] * np.exp(2j * np.pi * (w[0] * x[0] + w[1] * x[1]) / 5)
+            for x in itertools.product(range(5), repeat=2)
+        )
+        assert abs(fhat[w] - direct) <= 1e-12 * np.abs(f.values).sum()
 
 
 def test_idft_inverts_dft():
@@ -60,25 +73,25 @@ def test_idft_inverts_dft():
 @settings(deadline=None)
 @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_sliced_kernels_transform_functions_on_sub_cubes(n, seed):
-    # the certificate's transforms: a function on {0, +-2}^n inverted onto
-    # {0, +-1}^n, and a function on {0, +-1}^n transformed at every word
+    # lpbound's certificate transforms: a function on {0, +-2}^n inverted onto
+    # {0, +-1}^n, and a function on {0, +-1}^n transformed at {0, 1, 2}^n
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(3,) * n) + 1j * rng.normal(size=(3,) * n)
     tol = 1e-12 * np.abs(vals).sum()
-    cube, sphere = (0, 1, 4), (0, 2, 3)
+    cube, sphere, half = (np.ix_(*(symbols,) * n) for symbols in (_CUBE, _SPHERE, _HALF))
 
     dense = np.zeros((5,) * n, dtype=np.complex128)
-    dense[np.ix_(*(sphere,) * n)] = vals
-    want = idft(GroupFunction(n, dense)).values[np.ix_(*(cube,) * n)]
-    got = _apply_axes(vals, _IDFT_KERNEL[np.ix_(cube, sphere)])
+    dense[sphere] = vals
+    want = np.fft.fftn(dense)[cube] / 5**n
+    got = _apply_axes(vals, _CUBE_IDFT)
     assert got.shape == (3,) * n
     assert np.abs(got - want).max() <= tol / 5**n
 
     dense = np.zeros((5,) * n, dtype=np.complex128)
-    dense[np.ix_(*(cube,) * n)] = vals
-    want = dft(GroupFunction(n, dense)).values
-    got = _apply_axes(vals, _DFT_KERNEL[:, cube])
-    assert got.shape == (5,) * n
+    dense[cube] = vals
+    want = 5**n * np.fft.ifftn(dense)[half]
+    got = _apply_axes(vals, _HALF_DFT)
+    assert got.shape == (3,) * n
     assert np.abs(got - want).max() <= tol
 
 
