@@ -7,8 +7,9 @@ stacked generator [[I, 2I], [0, G]]: the top rows span n copies of the
 two-letter zero-error kernel {(u, 2u)}, and an inner generator G over Z5
 selects which shifted copies appear.  Coordinate i of the codeword
 (u1, 2 u1 + nu) weighs w(u1_i) + w(2 u1_i + nu_i), one entry of a 5 x 5
-table, so a weight never materialises the length-2n word, which keeps full
-spectrum enumeration cheap.
+table, so a weight never materialises the length-2n word, and an exact
+spectrum is a product of one small polynomial per coordinate, with no
+sweep over the messages.
 """
 
 from __future__ import annotations
@@ -85,14 +86,18 @@ _CONTRIB = np.minimum(
     + np.take(_SYMBOL_WEIGHT, (2 * np.arange(5)[:, None] + np.arange(5)) % 5),
     _INF_SENTINEL,
 ).astype(np.int64)
+# P_v(z) = sum_a z^_CONTRIB[a, v] over the finite entries, as int64
+# coefficients of z^0, z^1, z^2: the weights of one coordinate of
+# (u1, 2 u1 + nu) at nu_i = v, as u1_i runs over Z5
+_COORD_POLY = [np.bincount(col[col < _INF_SENTINEL], minlength=3) for col in _CONTRIB.T]
 
 
 def structured_weight(u1, nu) -> int | float:
     """Weight of the codeword (u1, 2*u1 + nu) from per-coordinate contributions.
 
     Coordinate i contributes w(u1_i) + w(2 u1_i + nu_i), read from the same
-    5 x 5 table that weight_spectrum sweeps; the length-2n word itself is
-    never built.
+    5 x 5 table whose columns give weight_spectrum its polynomials; the
+    length-2n word itself is never built.
     """
     if len(u1) != len(nu):
         raise ValueError("length mismatch")
@@ -149,25 +154,31 @@ def _all_words(n: int) -> np.ndarray:
 
 
 def weight_spectrum(gen: StructuredGenerator) -> Spectrum:
-    """Exact weight spectrum by enumerating all 5^(n+k) messages.
+    """Exact weight spectrum from a product of per-coordinate polynomials.
 
-    Enumeration is split by u2: each inner message fixes nu = u2 G, and the
-    u1 block is swept with the vectorised contribution table.
+    Each inner message u2 fixes nu = u2 G.  Over u1 in Z5^n the weights then
+    have the generating function prod_i P_{nu_i}(z), where
+    P_v(z) = sum_a z^(w(a) + w(2a + v)) over the finite terms, so it
+    depends only on how often each symbol occurs in nu.  The rows of nu are
+    grouped by that histogram and each group's product is taken once; the
+    messages of infinite weight are the rest.
     """
+    # the guard also keeps every int64 count below 5^(n+k), so exact
     if gen.message_count > _ENUM_GUARD:
         raise ValueError(f"5^(n+k) = {gen.message_count} exceeds guard {_ENUM_GUARD}")
-    u1_block = _all_words(gen.n)
-    counts: dict[int, int] = {}
-    infinite = 0
-    max_finite = 2 * gen.n
-    for nu in (_all_words(gen.k) @ gen.inner) % 5:
-        w = _CONTRIB[u1_block, nu].sum(axis=1)
-        finite = w[w <= max_finite]
-        infinite += w.size - finite.size
-        vals, cnt = np.unique(finite, return_counts=True)
-        for v, c in zip(vals.tolist(), cnt.tolist()):
-            counts[v] = counts.get(v, 0) + c
-    return Spectrum(counts, infinite)
+    nu = (_all_words(gen.k) @ gen.inner) % 5
+    # digit v of sum_i base^nu_i in base n + 1 counts the symbols v in nu
+    base = gen.n + 1
+    keys, multiplicity = np.unique((base**nu).sum(axis=1), return_counts=True)
+    total = np.zeros(2 * gen.n + 1, dtype=np.int64)
+    for key, mult in zip(keys.tolist(), multiplicity.tolist()):
+        poly = np.ones(1, dtype=np.int64)
+        for v in range(5):
+            for _ in range(key // base**v % base):
+                poly = np.convolve(poly, _COORD_POLY[v])
+        total[: poly.size] += mult * poly
+    counts = {w: c for w, c in enumerate(total.tolist()) if c}
+    return Spectrum(counts, gen.message_count - int(total.sum()))
 
 
 def hamming_spectrum(G) -> Spectrum:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -402,6 +403,15 @@ def max_code(n: int, d):
     prunes every node whose colouring cannot reach that size, and returns
     the first code of that size it meets.  No pruned branch holds a code of
     that size, so the first one met is the lex-first maximum code.
+
+    The size pass also prunes by root orbits.  Permuting coordinates and
+    negating any of them fixes word 0 and keeps the typewriter distance,
+    since w(a) = w(-a); two words lie in one orbit of these maps exactly
+    when their sorted tuples of min(a, 5 - a) agree.  Once the root has
+    searched every code through word 0 and a word v, a code through 0 and
+    any orbit-mate of v maps onto one of those, so the root drops v's whole
+    orbit, not just v: at n = 3 it branches at most 9 times, not up to 124.
+    The witness pass keeps lex order and only reads the size.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -413,8 +423,6 @@ def max_code(n: int, d):
 
 @functools.lru_cache(maxsize=None)
 def _max_code_impl(n: int, d):
-    import itertools
-
     words = list(itertools.product(range(5), repeat=n))
     nv = len(words)
     adj = [0] * nv
@@ -425,21 +433,29 @@ def _max_code_impl(n: int, d):
             if compatible:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    size, clique = _max_clique_with_zero(adj)
+    # root orbits, as in max_code: words with one sorted tuple of min(a, 5 - a)
+    keys = [tuple(sorted(min(a, 5 - a) for a in w)) for w in words]
+    orbit_of_key: dict[tuple, int] = {}
+    for v, key in enumerate(keys):
+        orbit_of_key[key] = orbit_of_key.get(key, 0) | 1 << v
+    size, clique = _max_clique_with_zero(adj, [orbit_of_key[key] for key in keys])
     return size, tuple(words[v] for v in clique)
 
 
-def _max_clique_with_zero(adj: list) -> tuple:
+def _max_clique_with_zero(adj: list, orbits: list) -> tuple:
     """Size and ascending vertices of the lex-first maximum clique through 0.
 
-    adj[v] is the bitset of the neighbours of v (symmetric, no loops).  The
-    size pass and the witness pass are those described in max_code.
+    adj[v] is the bitset of the neighbours of v (symmetric, no loops), and
+    orbits[v] the bitset of v's orbit under automorphisms of the graph that
+    fix vertex 0 (just 1 << v when none is known).  The size pass and the
+    witness pass are those described in max_code.
     """
     universe = (1 << len(adj)) - 1
     # bitsets are keyed by their lowest set bit so the hot loops never need
     # an index extraction; single-bit ints hash cheaply
     adj_by_bit = {1 << v: row for v, row in enumerate(adj)}
     conf_by_bit = {1 << v: universe & ~row & ~(1 << v) for v, row in enumerate(adj)}
+    orbit_by_bit = {1 << v: orbit for v, orbit in enumerate(orbits)}
 
     def colour_classes(pool: int) -> list:
         classes = []
@@ -468,8 +484,12 @@ def _max_clique_with_zero(adj: list) -> tuple:
                     return
                 low = cls & -cls
                 cls ^= low
+                if not pool & low:
+                    continue  # an orbit-mate of a root branch already searched
                 grow(pool & adj_by_bit[low], depth + 1)
-                pool ^= low
+                # at the root, every clique through 0 and an orbit-mate of low
+                # maps onto one through 0 and low, which is now searched
+                pool &= ~(orbit_by_bit[low] if depth == 1 else low)
 
     def scan(chosen: list, pool: int, depth: int) -> bool:
         if depth == best:

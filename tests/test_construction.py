@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from typewriter_bounds.construction import (
     INF,
@@ -130,28 +132,33 @@ def test_optimize_exponent_at_zero_rate():
     assert res.exponent == pytest.approx(0.8 * GV_SLOPE, abs=1e-9)
 
 
-def test_code_from_generator_matches_spectrum():
-    gen = StructuredGenerator(2, 1, [[1, 2]])
-    code = code_from_generator(gen)
+def test_seed_code_has_125_distinct_words():
+    code = code_from_generator(StructuredGenerator(2, 1, [[1, 2]]))
     assert code.shape == (125, 4)
     assert len({tuple(w) for w in code.tolist()}) == 125
-    gens = [
-        gen,
-        StructuredGenerator(3, 0, np.zeros((0, 3))),
-        StructuredGenerator(2, 1, [[0, 0]]),
-        StructuredGenerator(1, 2, [[1], [3]]),
-        StructuredGenerator(2, 2, [[1, 0], [4, 3]]),
-    ]
-    for n, k, seed in ((2, 1, 0), (3, 1, 1), (3, 2, 2), (4, 1, 3), (4, 2, 4)):
-        inner = np.random.default_rng(seed).integers(0, 5, size=(k, n))
-        gens.append(StructuredGenerator(n, k, inner))
-    for gen in gens:
-        code = code_from_generator(gen)
-        assert code.shape == (gen.message_count, 2 * gen.n)
-        weights = Counter(word_weight(tuple(w)) for w in code.tolist())
-        spec = weight_spectrum(gen)
-        want = Counter(spec.counts) + Counter({INF: spec.infinite_count})
-        assert weights == want, (gen.n, gen.k, gen.inner.tolist())
+
+
+@st.composite
+def _generators(draw):
+    """StructuredGenerator with n <= 4, k <= 2 and any inner symbols."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    symbols = draw(st.lists(st.integers(0, 4), min_size=n * k, max_size=n * k))
+    return StructuredGenerator(n, k, np.array(symbols, dtype=int).reshape(k, n))
+
+
+@settings(deadline=None, max_examples=60)
+@given(gen=_generators())
+@example(gen=StructuredGenerator(2, 1, [[1, 2]]))
+@example(gen=StructuredGenerator(3, 0, np.zeros((0, 3), dtype=int)))
+@example(gen=StructuredGenerator(2, 1, [[0, 0]]))
+@example(gen=StructuredGenerator(4, 2, np.zeros((2, 4), dtype=int)))
+def test_code_from_generator_matches_spectrum(gen):
+    code = code_from_generator(gen)
+    assert code.shape == (gen.message_count, 2 * gen.n)
+    weights = Counter(word_weight(tuple(w)) for w in code.tolist())
+    spec = weight_spectrum(gen)
+    want = Counter(spec.counts) + Counter({INF: spec.infinite_count})
+    assert weights == want, (gen.n, gen.k, gen.inner.tolist())
 
 
 def test_code_file_roundtrip(tmp_path):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typewriter_bounds.construction import word_weight
+from typewriter_bounds import lpbound
+from typewriter_bounds.construction import word_distance, word_weight
 from typewriter_bounds.fourier import (
     GroupFunction,
     dft,
@@ -520,7 +521,97 @@ def test_max_clique_with_zero_matches_brute_force(nv, density, seed):
         if rng.random() < density:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    assert _max_clique_with_zero(adj) == _lex_first_clique_brute_force(adj)
+    singletons = [1 << v for v in range(nv)]
+    assert _max_clique_with_zero(adj, singletons) == _lex_first_clique_brute_force(adj)
+
+
+def _root_maps(n):
+    """The n! 2^n maps of Z5^n that permute coordinates and negate some."""
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield lambda x, perm=perm, signs=signs: tuple(
+                signs[i] * x[perm[i]] % 5 for i in range(n)
+            )
+
+
+def _explicit_orbits(n):
+    """orbits[v]: the bitset of the images of word v (base-5 order) under
+    every map of _root_maps."""
+    words = list(itertools.product(range(5), repeat=n))
+    index = {w: v for v, w in enumerate(words)}
+    maps = list(_root_maps(n))
+    return [sum({1 << index[m(w)] for m in maps}) for w in words]
+
+
+def test_root_maps_fix_zero_and_keep_the_distance():
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3):
+        words = list(itertools.product(range(5), repeat=n))
+        maps = list(_root_maps(n))
+        assert len(maps) == math.factorial(n) * 2**n
+        if n <= 2:
+            pairs = list(itertools.product(words, repeat=2))
+        else:
+            pairs = [(words[i], words[j]) for i, j in rng.integers(0, len(words), size=(400, 2))]
+        for m in maps:
+            assert m((0,) * n) == (0,) * n
+            assert sorted(map(m, words)) == words
+            for x, y in pairs:
+                assert word_distance(m(x), m(y)) == word_distance(x, y)
+
+
+def test_max_code_passes_the_explicit_root_orbits(monkeypatch):
+    seen = []
+    search = lpbound._max_clique_with_zero
+
+    def spy(adj, orbits):
+        seen.append(orbits)
+        return search(adj, orbits)
+
+    monkeypatch.setattr(lpbound, "_max_clique_with_zero", spy)
+    for n in (1, 2, 3):
+        # the cache's own function, so the search runs even when cached
+        assert lpbound._max_code_impl.__wrapped__(n, INF) == max_code(n, INF)
+        assert seen.pop() == _explicit_orbits(n)
+    assert len(set(_explicit_orbits(3))) == 10  # the sorted triples over {0, 1, 2}
+
+
+def _cayley_graph(n, connection):
+    """Bitset rows of the Cayley graph on Z5^n (base-5 order): x ~ y when
+    x - y lies in the connection set."""
+    words = list(itertools.product(range(5), repeat=n))
+    adj = [0] * len(words)
+    for i, x in enumerate(words):
+        for j, y in enumerate(words):
+            if tuple((a - b) % 5 for a, b in zip(x, y)) in connection:
+                adj[i] |= 1 << j
+    return adj
+
+
+def _orbit_pruning_agrees(n, pick):
+    """The search with root orbits returns what it returns with singleton
+    orbits on the Cayley graph whose connection set is the union of the
+    root orbits of Z5^n that pick chooses (the orbit of 0 excluded)."""
+    orbits = _explicit_orbits(n)
+    words = list(itertools.product(range(5), repeat=n))
+    classes = sorted(set(orbits) - {1})
+    union = sum(cls for cls, keep in zip(classes, pick) if keep)
+    connection = {w for v, w in enumerate(words) if union >> v & 1}
+    adj = _cayley_graph(n, connection)
+    singletons = [1 << v for v in range(len(words))]
+    assert _max_clique_with_zero(adj, orbits) == _max_clique_with_zero(adj, singletons)
+
+
+@settings(deadline=None, max_examples=100)
+@given(pick=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_orbit_pruning_matches_singleton_orbits_on_z5_squared(pick):
+    _orbit_pruning_agrees(2, pick)
+
+
+@settings(deadline=None, max_examples=12)
+@given(pick=st.lists(st.booleans(), min_size=9, max_size=9))
+def test_orbit_pruning_matches_singleton_orbits_on_z5_cubed(pick):
+    _orbit_pruning_agrees(3, pick)
 
 
 def test_max_code_guard():
