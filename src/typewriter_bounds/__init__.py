@@ -10,7 +10,7 @@ with exact small cases and Monte Carlo simulation.
 
 __version__ = "0.1.0"
 
-from .channel import SimResult, confusable, confusion_prob, ml_decode, monte_carlo_pe
+from .channel import SimResult, confusion_prob, monte_carlo_pe
 from .construction import (
     INF,
     ExponentResult,
@@ -42,7 +42,6 @@ from .curves import (
 )
 from .expurgated import (
     critical_rho,
-    e_ex2,
     ex_exponent_inf,
     q_form,
     zero_error_code2,
@@ -80,7 +79,6 @@ __all__ = [
     "sample_curves",
     "critical_rho",
     "ex_exponent_inf",
-    "e_ex2",
     "q_form",
     "zero_error_code2",
     "word_distance",
@@ -107,9 +105,7 @@ __all__ = [
     "verify_certificate",
     "max_code",
     "SimResult",
-    "confusable",
     "confusion_prob",
-    "ml_decode",
     "monte_carlo_pe",
     "krawtchouk",
     "qary_entropy",

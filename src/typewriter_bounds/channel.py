@@ -4,13 +4,13 @@ Each symbol is received either unchanged or shifted up by one (mod 5), with
 probability 1/2 independently.  Every output is therefore equally likely
 among the 2^n words reachable from the input, so maximum-likelihood
 decoding is a uniform choice among the codewords that could have produced
-the received word.  One decoder serves single words and whole batches: a
-table per code holds, for each coordinate and received symbol, the bitset of
-codewords that can produce it ("received minus sent is 0 or 1 (mod 5)"),
-and the decoder ANDs one packed row per coordinate.  The simulator draws raw
-Philox words in a fixed per-trial layout, which makes results independent of
-batch size, and compares the sent word's rank among the plausible ones with
-the tie pick, so it never lists the candidates.
+the received word.  The simulator decodes whole batches: a table per code
+holds, for each coordinate and received symbol, the bitset of codewords that
+can produce it ("received minus sent is 0 or 1 (mod 5)"), and each trial
+ANDs one packed row per coordinate.  Raw Philox words are drawn in a fixed
+per-trial layout, which makes results independent of batch size, and a
+trial compares the sent word's rank among the plausible ones with the tie
+pick, so it never lists the candidates.
 """
 
 from __future__ import annotations
@@ -24,21 +24,13 @@ from .construction import INF, _symbols, word_distance
 from .curves import _fmt
 
 __all__ = [
-    "confusable",
     "confusion_prob",
-    "plausible_codewords",
-    "ml_decode",
     "SimResult",
     "monte_carlo_pe",
 ]
 
 _WORDS_PER_TRIAL = 4  # message, noise bits, tie break, reserved
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
-
-
-def confusable(x, y) -> bool:
-    """True when some common output has positive probability under x and y."""
-    return word_distance(x, y) != INF
 
 
 def confusion_prob(x, y) -> float:
@@ -55,13 +47,6 @@ def confusion_prob(x, y) -> float:
     return 2.0 ** -(len(tuple(x)) + d)
 
 
-def _code_symbols(code) -> np.ndarray:
-    codearr = _symbols(code, "code")
-    if codearr.ndim != 2 or codearr.shape[0] == 0:
-        raise ValueError(f"code must be a non-empty 2-d array of words, not {codearr.shape}")
-    return codearr
-
-
 def _plausible_table(code: np.ndarray) -> np.ndarray:
     """(n, 5, ceil(m/8)) uint8: bit j of [c, s] is set when codeword j can
     produce symbol s at coordinate c, i.e. (s - code[j, c]) mod 5 is 0 or 1.
@@ -71,48 +56,6 @@ def _plausible_table(code: np.ndarray) -> np.ndarray:
     """
     fits = (np.arange(5)[None, :, None] - code.T[:, None, :]) % 5 <= 1
     return np.packbits(fits, axis=-1, bitorder="little")
-
-
-def _plausible_rows(table: np.ndarray, m: int, columns, b: int) -> np.ndarray:
-    """(b, ceil(m/8)) packed rows: the codewords that can produce each of b
-    received words, as bits in the layout of _plausible_table.
-
-    columns yields, coordinate by coordinate, the b received symbols (any
-    integers, read mod 5).  Each is ANDed in through one table lookup, so no
-    b x n or b x m array is built.
-    """
-    rows = np.empty((b, table.shape[2]), dtype=np.uint8)
-    rows[:] = np.packbits(np.ones(m, dtype=bool), bitorder="little")
-    scratch = np.empty_like(rows)
-    for c, y in enumerate(columns):
-        np.take(table[c], y, axis=0, mode="wrap", out=scratch)
-        rows &= scratch
-    return rows
-
-
-def plausible_codewords(code, y) -> list:
-    """Indices of codewords that can produce output y (shifts in {0, 1})."""
-    codearr = _code_symbols(code)
-    yarr = _symbols(y, "received")
-    if yarr.shape != (codearr.shape[1],):
-        raise ValueError(
-            f"received word of shape {yarr.shape} does not match code of shape {codearr.shape}"
-        )
-    m = codearr.shape[0]
-    row = _plausible_rows(_plausible_table(codearr), m, yarr[:, None], 1)[0]
-    return np.flatnonzero(np.unpackbits(row, count=m, bitorder="little")).tolist()
-
-
-def ml_decode(code, y, tie: int = 0) -> int:
-    """Maximum-likelihood decoder with deterministic tie index.
-
-    All plausible codewords share the likelihood 2^-n, so ML reduces to
-    picking among them; tie selects the (tie mod count)-th in code order.
-    """
-    cands = plausible_codewords(code, y)
-    if not cands:
-        raise ValueError("received word is not reachable from any codeword")
-    return cands[tie % len(cands)]
 
 
 @dataclass(frozen=True)
@@ -146,7 +89,9 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
     code order.  Memory is at most about 4 ceil(m/8) + 128 bytes per trial of
     a batch, whatever the length n.
     """
-    codearr = _code_symbols(code)
+    codearr = _symbols(code, "code")
+    if codearr.ndim != 2 or codearr.shape[0] == 0:
+        raise ValueError(f"code must be a non-empty 2-d array of words, not {codearr.shape}")
     m, n = codearr.shape
     if n > 64:
         raise ValueError("noise layout supports at most 64 coordinates")
@@ -160,6 +105,7 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed {seed} is outside [0, 2^128)")
     table = _plausible_table(codearr)
+    full_row = np.packbits(np.ones(m, dtype=bool), bitorder="little")
     columns = codearr.T.astype(np.uint64)
     bitgen = np.random.Philox(key=seed)
     one = np.uint64(1)
@@ -170,9 +116,19 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
         raw = bitgen.random_raw(_WORDS_PER_TRIAL * b).reshape(b, _WORDS_PER_TRIAL)
         msg = (raw[:, 0] % np.uint64(m)).astype(np.intp)
         noise = raw[:, 1]
-        rows = _plausible_rows(
-            table, m, (columns[c][msg] + (noise >> np.uint64(c) & one) for c in range(n)), b
-        )
+        # the codewords that can produce each received word, one table
+        # lookup per coordinate, so no b x n or b x m array is built
+        rows = np.empty((b, table.shape[2]), dtype=np.uint8)
+        rows[:] = full_row
+        scratch = np.empty_like(rows)
+        for c in range(n):
+            received = columns[c][msg] + (noise >> np.uint64(c) & one)
+            np.take(table[c], received, axis=0, mode="wrap", out=scratch)
+            rows &= scratch
+            del received
+        # the rank step below is the batch's memory peak; hold no lookup
+        # buffer through it
+        del scratch
         # rank of msg among the plausible words: whole bytes below its byte,
         # then the bits below it within that byte
         pop = _POPCOUNT[rows]

@@ -7,9 +7,11 @@ stacked generator [[I, 2I], [0, G]]: the top rows span n copies of the
 two-letter zero-error kernel {(u, 2u)}, and an inner generator G over Z5
 selects which shifted copies appear.  Coordinate i of the codeword
 (u1, 2 u1 + nu) weighs w(u1_i) + w(2 u1_i + nu_i), one entry of a 5 x 5
-table, so a weight never materialises the length-2n word, and an exact
-spectrum is a product of one small polynomial per coordinate, with no
-sweep over the messages.
+table, so a weight never materialises the length-2n word.  As u1_i runs
+over Z5, a coordinate with nu_i = 0 has finite weight only once, weight 0,
+and one with nu_i != 0 has weight 1 once and weight 2 once, so the exact
+spectrum is the inner code's Hamming enumerator with z^h replaced by
+z^h (1 + z)^h.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curves import GV_SLOPE
 from .scalars import LOG5, bisect_root, qary_entropy
 
 __all__ = [
@@ -86,18 +89,13 @@ _CONTRIB = np.minimum(
     + np.take(_SYMBOL_WEIGHT, (2 * np.arange(5)[:, None] + np.arange(5)) % 5),
     _INF_SENTINEL,
 ).astype(np.int64)
-# P_v(z) = sum_a z^_CONTRIB[a, v] over the finite entries, as int64
-# coefficients of z^0, z^1, z^2: the weights of one coordinate of
-# (u1, 2 u1 + nu) at nu_i = v, as u1_i runs over Z5
-_COORD_POLY = [np.bincount(col[col < _INF_SENTINEL], minlength=3) for col in _CONTRIB.T]
 
 
 def structured_weight(u1, nu) -> int | float:
     """Weight of the codeword (u1, 2*u1 + nu) from per-coordinate contributions.
 
-    Coordinate i contributes w(u1_i) + w(2 u1_i + nu_i), read from the same
-    5 x 5 table whose columns give weight_spectrum its polynomials; the
-    length-2n word itself is never built.
+    Coordinate i contributes w(u1_i) + w(2 u1_i + nu_i), read from one
+    5 x 5 table; the length-2n word itself is never built.
     """
     if len(u1) != len(nu):
         raise ValueError("length mismatch")
@@ -154,31 +152,24 @@ def _all_words(n: int) -> np.ndarray:
 
 
 def weight_spectrum(gen: StructuredGenerator) -> Spectrum:
-    """Exact weight spectrum from a product of per-coordinate polynomials.
+    """Exact weight spectrum from the inner code's Hamming enumerator.
 
-    Each inner message u2 fixes nu = u2 G.  Over u1 in Z5^n the weights then
-    have the generating function prod_i P_{nu_i}(z), where
-    P_v(z) = sum_a z^(w(a) + w(2a + v)) over the finite terms, so it
-    depends only on how often each symbol occurs in nu.  The rows of nu are
-    grouped by that histogram and each group's product is taken once; the
-    messages of infinite weight are the rest.
+    Each inner message u2 fixes nu = u2 G.  As u1_i runs over Z5, the
+    weight w(u1_i) + w(2 u1_i + nu_i) is finite only at u1_i = 0 (weight 0)
+    when nu_i = 0, and at one u1_i of weight 1 and one of weight 2
+    otherwise.  So the u1 words of a nu of Hamming weight h have the
+    generating function z^h (1 + z)^h, and the spectrum is
+    sum_h B_h z^h (1 + z)^h with B = hamming_spectrum(G); the messages of
+    infinite weight are the rest.
     """
-    # the guard also keeps every int64 count below 5^(n+k), so exact
     if gen.message_count > _ENUM_GUARD:
         raise ValueError(f"5^(n+k) = {gen.message_count} exceeds guard {_ENUM_GUARD}")
-    nu = (_all_words(gen.k) @ gen.inner) % 5
-    # digit v of sum_i base^nu_i in base n + 1 counts the symbols v in nu
-    base = gen.n + 1
-    keys, multiplicity = np.unique((base**nu).sum(axis=1), return_counts=True)
-    total = np.zeros(2 * gen.n + 1, dtype=np.int64)
-    for key, mult in zip(keys.tolist(), multiplicity.tolist()):
-        poly = np.ones(1, dtype=np.int64)
-        for v in range(5):
-            for _ in range(key // base**v % base):
-                poly = np.convolve(poly, _COORD_POLY[v])
-        total[: poly.size] += mult * poly
-    counts = {w: c for w, c in enumerate(total.tolist()) if c}
-    return Spectrum(counts, gen.message_count - int(total.sum()))
+    total = [0] * (2 * gen.n + 1)
+    for h, b in hamming_spectrum(gen.inner).counts.items():
+        for j in range(h + 1):
+            total[h + j] += b * math.comb(h, j)
+    counts = {w: c for w, c in enumerate(total) if c}
+    return Spectrum(counts, gen.message_count - sum(total))
 
 
 def hamming_spectrum(G) -> Spectrum:
@@ -246,7 +237,7 @@ def optimize_exponent(r: float) -> ExponentResult:
         exponent = -(LOG5 * (r - 1.0) + 2.0)
     else:
         delta_star = d_gv
-        exponent = d_gv * (4.0 / 3.0 - qary_entropy(1.0 / 3.0, 2.0))
+        exponent = d_gv * GV_SLOPE
     return ExponentResult(r, d_gv, delta_star, tau_star, exponent)
 
 

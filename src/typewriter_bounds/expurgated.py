@@ -3,11 +3,12 @@
 The single-letter Bhattacharyya kernel of the channel is circulant: 1 on the
 diagonal, 1/2 between cyclically adjacent inputs, 0 elsewhere.  Raised
 elementwise to 1/rho it stays circulant, so its eigenvalues are explicit
-cosine sums and the largest rho keeping it positive semidefinite has the
-closed form log 2 / log(2 cos(pi/5)).  Below that threshold the quadratic
-form is minimised by the uniform distribution and the expurgated exponent
-carries no memory; above it, distributions supported on a two-letter
-zero-error code push the blocklength-2 exponent up to rho*log2(5)/2.
+cosine sums, no matrix is built, and the largest rho keeping it positive
+semidefinite has the closed form log 2 / log(2 cos(pi/5)).  Below that
+threshold the quadratic form is minimised by the uniform distribution and
+the expurgated exponent carries no memory; above it, distributions
+supported on a two-letter zero-error code push the blocklength-2 exponent
+up to rho*log2(5)/2.
 """
 
 from __future__ import annotations
@@ -17,14 +18,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .construction import INF, word_distance
 from .lpbound import max_code
 from .scalars import LOG5
 
 __all__ = [
-    "bhattacharyya_matrix",
     "circulant_eigenvalues",
     "critical_rho",
     "ex_exponent_inf",
@@ -32,7 +30,6 @@ __all__ = [
     "uniform_distribution",
     "code_distribution",
     "q_form",
-    "e_ex2",
     "zero_error_code2",
 ]
 
@@ -41,18 +38,6 @@ def _check_rho(rho: float) -> None:
     """Refuse rho below 1, and NaN, which compares false with everything."""
     if not rho >= 1.0:
         raise ValueError(f"rho {rho!r} is not >= 1")
-
-
-def bhattacharyya_matrix(rho: float) -> np.ndarray:
-    """5x5 circulant with 1 on the diagonal and 2^(-1/rho) at offsets +-1."""
-    _check_rho(rho)
-    alpha = 2.0 ** (-1.0 / rho)
-    m = np.zeros((5, 5))
-    for i in range(5):
-        m[i, i] = 1.0
-        m[i, (i + 1) % 5] = alpha
-        m[i, (i - 1) % 5] = alpha
-    return m
 
 
 def circulant_eigenvalues(rho: float) -> list[float]:
@@ -157,20 +142,6 @@ def q_form(rho: float, dist: InputDistribution) -> float | Fraction:
                 continue
             acc += px * float(dist.probs[y]) * 2.0 ** (-d / rho)
     return acc
-
-
-def e_ex2(r: float) -> float:
-    """Blocklength-2 expurgated bound sup_{rho >= 1} [ex_exponent_inf - rho r].
-
-    For r >= log2 sqrt5 the supremum sits at rho = 1 and equals
-    log2(5/2) - r; below that rate the linear tail rho*(log2(sqrt5) - r)
-    grows without bound, reported as +infinity.
-    """
-    if r <= 0.0:
-        raise ValueError(f"rate {r!r} must be positive")
-    if r < LOG5 / 2.0:
-        return INF
-    return LOG5 - 1.0 - r
 
 
 def zero_error_code2() -> list[tuple[int, int]]:

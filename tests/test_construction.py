@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -211,3 +212,19 @@ def test_weight_spectrum_guard():
     gen = StructuredGenerator(8, 4, np.zeros((4, 8), dtype=int))
     with pytest.raises(ValueError):
         weight_spectrum(gen)
+
+
+def test_weight_spectrum_at_the_largest_inner_dimension_stays_small():
+    # (1, 9) is the largest k the guard admits at n = 1; the spectrum comes
+    # from the inner Hamming enumerator, so the 5^9 inner words are never
+    # held at once
+    gen = StructuredGenerator(1, 9, np.ones((9, 1), dtype=int))
+    tracemalloc.start()
+    try:
+        spec = weight_spectrum(gen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak / 2**20
+    assert spec.counts == {0: 390625, 1: 1562500, 2: 1562500}
+    assert spec.infinite_count == 6250000

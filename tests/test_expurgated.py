@@ -11,11 +11,9 @@ from typewriter_bounds.construction import INF, word_distance
 from typewriter_bounds.curves import CAPACITY, LOG5
 from typewriter_bounds.expurgated import (
     InputDistribution,
-    bhattacharyya_matrix,
     circulant_eigenvalues,
     code_distribution,
     critical_rho,
-    e_ex2,
     ex_exponent_inf,
     q_form,
     uniform_distribution,
@@ -23,19 +21,11 @@ from typewriter_bounds.expurgated import (
 )
 
 
-def test_bhattacharyya_matrix_entries():
-    g = bhattacharyya_matrix(1.0)
-    assert g.shape == (5, 5)
-    assert np.allclose(np.diag(g), 1.0)
-    assert g[0, 1] == pytest.approx(0.5, abs=1e-15)
-    assert g[0, 2] == 0.0
-    # rho only reshapes the off-diagonal weight
-    assert bhattacharyya_matrix(2.0)[0, 1] == pytest.approx(0.5 ** 0.5, abs=1e-15)
-
-
 def test_circulant_eigenvalues_match_dense_spectrum():
     for rho in (1.0, 1.3, critical_rho(), 2.0):
-        dense = np.sort(np.linalg.eigvalsh(bhattacharyya_matrix(rho)))
+        eye = np.eye(5)
+        kernel = eye + 2.0 ** (-1.0 / rho) * (np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1))
+        dense = np.sort(np.linalg.eigvalsh(kernel))
         closed = np.sort(circulant_eigenvalues(rho))
         assert np.allclose(dense, closed, atol=1e-12)
 
@@ -102,18 +92,8 @@ def test_zero_error_code2_witness():
             assert word_distance(x, y) == INF
 
 
-def test_e_ex2_piecewise():
-    assert e_ex2(LOG5 / 2.0 - 0.01) == INF
-    assert e_ex2(LOG5 / 2.0) == pytest.approx(CAPACITY - LOG5 / 2.0, abs=1e-12)
-    assert e_ex2(1.25) == pytest.approx(CAPACITY - 1.25, abs=1e-12)
-    with pytest.raises(ValueError):
-        e_ex2(0.0)
-    with pytest.raises(ValueError):
-        e_ex2(-1.0)
-
-
 def test_e_ex2_is_the_sup_over_rho():
     r = 1.25
     grid = [1.0 + 4.0 * i / 80 for i in range(81)]
     sup = max(ex_exponent_inf(rho) - rho * r for rho in grid)
-    assert sup == pytest.approx(e_ex2(r), abs=1e-12)
+    assert sup == pytest.approx(CAPACITY - r, abs=1e-12)
