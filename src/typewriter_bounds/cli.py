@@ -98,7 +98,7 @@ def _cmd_expurgated(args) -> int:
     stamp = _stamp(
         "expurgated", rho_min=args.rho_min, rho_max=args.rho_max, samples=args.samples
     )
-    uniform1 = expurgated.uniform_distribution(1)
+    letters = [(a,) for a in range(5)]
     lines = [f"# {stamp}", "rho,exponent_inf,min_eigenvalue,q_uniform"]
     for i in range(args.samples):
         rho = args.rho_min + (args.rho_max - args.rho_min) * i / (args.samples - 1)
@@ -106,7 +106,7 @@ def _cmd_expurgated(args) -> int:
             rho,
             expurgated.ex_exponent_inf(rho),
             min(expurgated.circulant_eigenvalues(rho)),
-            float(expurgated.q_form(rho, uniform1)),
+            float(expurgated.q_form(rho, letters)),
         )
         lines.append(",".join(_fmt(v) for v in row))
     _write("\n".join(lines) + "\n", args.output)

@@ -8,14 +8,14 @@ semidefinite has the closed form log 2 / log(2 cos(pi/5)).  Below that
 threshold the quadratic form is minimised by the uniform distribution and
 the expurgated exponent carries no memory; above it, distributions
 supported on a two-letter zero-error code push the blocklength-2 exponent
-up to rho*log2(5)/2.
+up to rho*log2(5)/2.  Q-forms are those of the uniform distribution on a
+code, an exact Fraction when the code is zero-error.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import INF, word_distance
@@ -26,9 +26,6 @@ __all__ = [
     "circulant_eigenvalues",
     "critical_rho",
     "ex_exponent_inf",
-    "InputDistribution",
-    "uniform_distribution",
-    "code_distribution",
     "q_form",
     "zero_error_code2",
 ]
@@ -70,77 +67,38 @@ def ex_exponent_inf(rho: float) -> float:
     return rho * LOG5 / 2.0
 
 
-@dataclass(frozen=True)
-class InputDistribution:
-    """Probability assignment on Z5^n words, n in {1, 2}.
+def q_form(rho: float, code) -> float | Fraction:
+    """Q-form of the uniform distribution on the m words of `code`.
 
-    Values may be fractions.Fraction for exact arithmetic downstream.
+    Q = sum_{x,x'} g(x,x')^(1/rho) / m^2, where the kernel g is the n-fold
+    Bhattacharyya product: 2^(-d) when the words are confusable at distance
+    d, 0 otherwise.  When no two distinct words are confusable only the
+    diagonal kernel value 1 appears, and the form is returned as the exact
+    Fraction 1/m.  The words must be distinct, of one length, with symbols
+    in 0..4.
     """
-
-    n: int
-    probs: dict[tuple, object]
-
-    def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError("only blocklengths 1 and 2 are supported")
-        for w, p in self.probs.items():
-            if len(w) != self.n or any(not 0 <= c <= 4 for c in w):
-                raise ValueError(f"bad word {w!r}")
-            if p < 0:
-                raise ValueError(f"negative probability at {w!r}")
-        total = sum(self.probs.values())
-        if abs(float(total) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}")
-
-    @property
-    def support(self) -> list[tuple]:
-        return [w for w, p in self.probs.items() if p != 0]
-
-
-def uniform_distribution(n: int) -> InputDistribution:
-    words = list(itertools.product(range(5), repeat=n))
-    p = Fraction(1, len(words))
-    return InputDistribution(n, {w: p for w in words})
-
-
-def code_distribution(code) -> InputDistribution:
-    """Uniform distribution on the given words."""
+    _check_rho(rho)
     words = [tuple(int(c) for c in w) for w in code]
     if not words:
         raise ValueError("empty code")
+    if len({len(w) for w in words}) != 1:
+        raise ValueError("words of unequal length")
+    for w in words:
+        if any(not 0 <= c <= 4 for c in w):
+            raise ValueError(f"bad word {w!r}")
     if len(set(words)) != len(words):
         raise ValueError("repeated codewords")
-    p = Fraction(1, len(words))
-    return InputDistribution(len(words[0]), {w: p for w in words})
-
-
-def q_form(rho: float, dist: InputDistribution) -> float | Fraction:
-    """Quadratic form sum_{x,x'} P(x) P(x') g(x,x')^(1/rho).
-
-    The kernel g is the n-fold Bhattacharyya product: 2^(-d) when the words
-    are confusable at distance d, 0 otherwise.  Pairs outside the support
-    contribute nothing, so the double sum runs over support pairs.  When
-    every support pair is either equal or non-confusable only the exact
-    kernel values 1 and 0 appear, and the form is returned as an exact
-    Fraction of the squared probabilities.
-    """
-    _check_rho(rho)
-    support = dist.support
-    exact = all(
-        word_distance(x, y) in (0, INF)
-        for x, y in itertools.combinations(support, 2)
-    )
-    if exact:
-        total = sum(dist.probs[x] * dist.probs[x] for x in support)
-        return total if isinstance(total, Fraction) else float(total)
+    m = len(words)
+    if all(word_distance(x, y) == INF for x, y in itertools.combinations(words, 2)):
+        return Fraction(1, m)
+    p = 1.0 / m
     acc = 0.0
-    for x in support:
-        px = float(dist.probs[x])
-        for y in support:
+    for x in words:
+        for y in words:
             d = word_distance(x, y)
             if d == INF:
                 continue
-            acc += px * float(dist.probs[y]) * 2.0 ** (-d / rho)
+            acc += p * p * 2.0 ** (-d / rho)
     return acc
 
 

@@ -80,8 +80,7 @@ def _check_exponent_branch_continuity():
 
 
 def _check_shannon_q_form():
-    code = expurgated.zero_error_code2()
-    val = expurgated.q_form(1.0, expurgated.code_distribution(code))
+    val = expurgated.q_form(1.0, expurgated.zero_error_code2())
     ok = val == Fraction(1, 5)
     return ok, f"Q^2 on the 5-word zero-error code: {val!r}, want Fraction(1, 5)"
 

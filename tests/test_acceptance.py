@@ -75,9 +75,9 @@ def test_criterion_05_exact_q_form_on_the_shannon_code():
     from fractions import Fraction
 
     t0 = time.perf_counter()
-    dist = expurgated.code_distribution(expurgated.zero_error_code2())
+    code = expurgated.zero_error_code2()
     for rho in (1.0, 1.5, 3.0):
-        q2 = expurgated.q_form(rho, dist)
+        q2 = expurgated.q_form(rho, code)
         assert isinstance(q2, Fraction)
         assert q2 == Fraction(1, 5)
         exponent = -(rho / 2.0) * math.log2(float(q2))

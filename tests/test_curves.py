@@ -1,6 +1,7 @@
 """Bound curves over the rate window [log2 sqrt5, log2(5/2)]."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -69,6 +70,71 @@ def test_r_star_value():
     want = LOG5 - 0.5 * qary_entropy(0.25, 2.0) - 0.75
     assert r_star() == pytest.approx(want, abs=1e-12)
     assert r_star() == pytest.approx(1.1662890326577957, abs=1e-12)
+
+
+def test_figure1_claims_hold_in_50_digit_arithmetic():
+    # closed forms in stdlib decimal against the float curves; module
+    # attributes are read through `curves` so that a patched constant shows
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ln2 = Decimal(2).ln()
+
+        def log2(x):
+            return Decimal(x).ln() / ln2
+
+        def h2(t):
+            return -(t * log2(t) + (1 - t) * log2(1 - t))
+
+        def close(got, want, ulps=4):
+            return abs(Decimal(got) - want) <= ulps * Decimal(math.ulp(float(want)))
+
+        # GV slope 4/3 - H2(1/3) = 2 - log2 3
+        slope = 2 - log2(3)
+        assert close(curves.GV_SLOPE, slope)
+        # r_star = log2 5 - H2(1/4)/2 - 3/4 with H2(1/4) = 2 - (3/4) log2 3
+        assert close(curves.r_star(), log2(5) + Decimal(3) / 8 * log2(3) - Decimal(7) / 4)
+        # both upper bounds start at the Plotkin point 1 - 1/sqrt5
+        top = 1 - 1 / Decimal(5).sqrt()
+        assert close(curves.e_lp1(C0), top)
+        assert close(curves.e_sl_star(C0), top)
+
+        # the gain over the expurgated line: at R(d) = log2 5 - 2d - H2(2d)/2,
+        # e_gv_star - e_rex = D(d) = 1 - d log2 3 - H2(2d)/2 on [3/8, 2/5]
+        def gain(d):
+            return 1 - d * log2(3) - h2(2 * d) / 2
+
+        for k in range(9):
+            d = Decimal(3) / 8 + Decimal(k) / 320
+            r = float(log2(5) - 2 * d - h2(2 * d) / 2)
+            # e_gv_star is GV_SLOPE times the bisected delta; take out the
+            # bisection's own error, which bisect_root bounds by 1e-12
+            d_float = curves.delta_of_r(r)
+            assert abs(Decimal(d_float) - d) <= Decimal("1e-12")
+            got = (
+                Decimal(curves.e_gv_star(r))
+                - Decimal(curves.GV_SLOPE) * (Decimal(d_float) - d)
+                - Decimal(curves.e_rex(r))
+            )
+            assert abs(got - gain(d)) <= 4 * Decimal(math.ulp(1.0)), k
+
+        # D is convex with a double root at 3/8: D' = -log2 3 - log2((1 - 2d)/(2d))
+        # and D'' = (2/(1 - 2d) + 1/d)/ln 2, each against a central difference
+        def slope_of_gain(d):
+            return -log2(3) - log2((1 - 2 * d) / (2 * d))
+
+        def curvature(d):
+            return (2 / (1 - 2 * d) + 1 / d) / ln2
+
+        eighth3 = Decimal(3) / 8
+        assert abs(gain(eighth3)) <= Decimal("1e-45")
+        assert abs(slope_of_gain(eighth3)) <= Decimal("1e-45")
+        h = Decimal("1e-12")
+        for k in range(9):
+            d = eighth3 + Decimal(k) / 320
+            assert abs((gain(d + h) - gain(d - h)) / (2 * h) - slope_of_gain(d)) <= Decimal("1e-20")
+            second = (gain(d + h) - 2 * gain(d) + gain(d - h)) / (h * h)
+            assert abs(second - curvature(d)) <= Decimal("1e-20")
+            assert curvature(d) > 0
 
 
 def test_e_gv_star_branches():

@@ -5,18 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from typewriter_bounds import expurgated
 from typewriter_bounds.construction import INF, word_distance
 from typewriter_bounds.curves import CAPACITY, LOG5
 from typewriter_bounds.expurgated import (
-    InputDistribution,
     circulant_eigenvalues,
-    code_distribution,
     critical_rho,
     ex_exponent_inf,
     q_form,
-    uniform_distribution,
     zero_error_code2,
 )
 
@@ -48,40 +47,61 @@ def test_ex_exponent_inf_branches_meet():
     assert ex_exponent_inf(2.0) == pytest.approx(LOG5, abs=1e-12)
 
 
-def test_input_distribution_validation():
-    with pytest.raises(ValueError):
-        InputDistribution(3, {})
-    with pytest.raises(ValueError):
-        InputDistribution(1, {(0,): 0.5, (1,): 0.4})
-    with pytest.raises(ValueError):
-        InputDistribution(1, {(0,): 1.5, (1,): -0.5})
-    with pytest.raises(ValueError):
-        InputDistribution(2, {(0,): 1.0})  # word length must match n
-
-
-def test_uniform_distribution_support():
-    assert len(uniform_distribution(1).support) == 5
-    assert len(uniform_distribution(2).support) == 25
+def test_q_form_refuses_malformed_codes():
+    for code, reason in (
+        ([], "empty code"),
+        ([(0, 1), (2, 3), (0, 1)], "repeated codewords"),
+        ([(0,), (1, 2)], "unequal length"),
+        ([(0,), (5,)], "bad word"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            q_form(1.0, code)
 
 
 def test_q_form_uniform_single_letter_closed_form():
-    u1 = uniform_distribution(1)
+    letters = [(a,) for a in range(5)]
     for rho in (1.0, 1.7, 3.0):
         want = (1.0 + 2.0 ** (1.0 - 1.0 / rho)) / 5.0
-        assert q_form(rho, u1) == pytest.approx(want, abs=1e-12)
+        assert q_form(rho, letters) == pytest.approx(want, abs=1e-12)
 
 
 def test_q_form_on_zero_error_code_is_exact():
-    dist = code_distribution(zero_error_code2())
+    code = zero_error_code2()
     for rho in (1.0, 1.5, 3.0):
-        got = q_form(rho, dist)
+        got = q_form(rho, code)
         assert isinstance(got, Fraction)
         assert got == Fraction(1, 5)
 
 
-def test_code_distribution_refuses_an_empty_code():
-    with pytest.raises(ValueError, match="empty code"):
-        code_distribution([])
+def _oracle_distance(x, y):
+    """Number of coordinates moved by one step, None when some coordinate
+    differs by two steps (the words are then non-confusable)."""
+    steps = [(a - b) % 5 for a, b in zip(x, y)]
+    if any(s in (2, 3) for s in steps):
+        return None
+    return sum(s != 0 for s in steps)
+
+
+_CODES = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=12, unique=True
+    )
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(code=_CODES, rho=st.one_of(st.just(critical_rho()), st.floats(1.0, 6.0)))
+def test_q_form_matches_the_pair_sum(code, rho):
+    m = len(code)
+    pairs = [(x, y, _oracle_distance(x, y)) for x in code for y in code]
+    confusable = [d for _, _, d in pairs if d is not None]
+    want = math.fsum(2.0 ** (-d / rho) / m**2 for d in confusable)
+    got = q_form(rho, code)
+    zero_error = all(d is None for x, y, d in pairs if x != y)
+    assert isinstance(got, Fraction) == zero_error
+    if zero_error:
+        assert got == Fraction(1, m)
+    assert float(got) == pytest.approx(want, rel=1e-13)
 
 
 def test_zero_error_code2_witness():

@@ -57,3 +57,20 @@ def test_exports_are_defined_and_imports_are_used():
             if name not in used
         ]
     assert problems == []
+
+
+def test_plain_math_modules_do_not_import_numpy():
+    # the modules of the array-free README commands stay numpy-free, so a
+    # lazy package import can start them without loading numpy
+    problems = []
+    for name in ("scalars.py", "curves.py", "expurgated.py"):
+        tree = _tree(PACKAGE / name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            problems += [f"{name}:{node.lineno}: imports {m}" for m in modules if m.split(".")[0] == "numpy"]
+    assert problems == []
