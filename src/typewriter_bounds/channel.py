@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _WORDS_PER_TRIAL = 4  # message, noise bits, tie break, reserved
+_BATCH_BYTES = 1 << 24  # working memory of one batch, by the per-trial bound
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
@@ -87,7 +88,8 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
     fixed, so any batch size gives the identical error count.  A trial errs
     when the sent word is not the (tie mod count)-th plausible codeword in
     code order.  Memory is at most about 4 ceil(m/8) + 128 bytes per trial of
-    a batch, whatever the length n.
+    a batch, whatever the length n, and a batch is cut to the trials whose
+    bound fits in 16 MiB.
     """
     codearr = _symbols(code, "code")
     if codearr.ndim != 2 or codearr.shape[0] == 0:
@@ -104,6 +106,7 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
         raise ValueError(f"batch {batch} must be at least 1")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed {seed} is outside [0, 2^128)")
+    batch = min(batch, max(1, _BATCH_BYTES // (4 * math.ceil(m / 8) + 128)))
     table = _plausible_table(codearr)
     full_row = np.packbits(np.ones(m, dtype=bool), bitorder="little")
     columns = codearr.T.astype(np.uint64)

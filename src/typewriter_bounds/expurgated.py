@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
 
 from .construction import INF, word_distance
@@ -74,17 +75,17 @@ def q_form(rho: float, code) -> float | Fraction:
     Bhattacharyya product: 2^(-d) when the words are confusable at distance
     d, 0 otherwise.  When no two distinct words are confusable only the
     diagonal kernel value 1 appears, and the form is returned as the exact
-    Fraction 1/m.  The words must be distinct, of one length, with symbols
-    in 0..4.
+    Fraction 1/m.  The words must be distinct, of one length, with integer
+    symbols in 0..4.
     """
     _check_rho(rho)
-    words = [tuple(int(c) for c in w) for w in code]
+    words = [tuple(w) for w in code]
     if not words:
         raise ValueError("empty code")
     if len({len(w) for w in words}) != 1:
         raise ValueError("words of unequal length")
     for w in words:
-        if any(not 0 <= c <= 4 for c in w):
+        if any(not isinstance(c, numbers.Integral) or not 0 <= c <= 4 for c in w):
             raise ValueError(f"bad word {w!r}")
     if len(set(words)) != len(words):
         raise ValueError("repeated codewords")

@@ -6,6 +6,11 @@ dense 5^n transforms serve the self-checks and the tests; lpbound checks
 its certificate with 3 x 3 blocks of the same kernels instead, on the 3^n
 words where the certificate and its transform take every value.
 
+The transform of the ell-th frequency sphere (freq_sphere_indicator) at a
+word of {0, +-1}^n with u nonzero entries is (2 cos(pi/5))^ell K_ell(u; n,
+sqrt 5), the identity that turns the Fourier-side certificate into the
+Krawtchouk LP; the self-checks compare dft of the indicator with it.
+
 The central object is the product witness function that is 1 at the origin
 and 1/(2 cos(pi/5)) at the 2n words that differ from it by one cyclic step:
 its transform vanishes identically on the frequency spheres with all nonzero
@@ -18,14 +23,11 @@ reproduces the theta-function value (5 cos(pi/5)/(1 + cos(pi/5)))^n of the
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .scalars import krawtchouk
 
 __all__ = [
     "GroupFunction",
@@ -36,20 +38,11 @@ __all__ = [
     "lovasz_bound",
     "symbol_count",
     "freq_sphere_indicator",
-    "canonical_sphere_word",
-    "sphere_transform",
-    "sphere_transform_closed_form",
 ]
 
 _SIZE_GUARD = 10**7
 _Q = 5
 _COS = math.cos(math.pi / _Q)
-
-
-def _check_range(name: str, k, n: int) -> None:
-    """Refuse k unless it is one of the integers 0..n."""
-    if not isinstance(k, numbers.Integral) or not 0 <= k <= n:
-        raise ValueError(f"{name} {k!r} not in 0..{n}")
 
 
 @dataclass(frozen=True)
@@ -136,41 +129,6 @@ def symbol_count(n: int, symbols) -> np.ndarray:
 
 def freq_sphere_indicator(n: int, ell: int) -> GroupFunction:
     """Indicator of words with ell coordinates equal to +-2, the rest 0."""
-    _check_range("sphere index", ell, n)
+    if not isinstance(ell, numbers.Integral) or not 0 <= ell <= n:
+        raise ValueError(f"sphere index {ell!r} not in 0..{n}")
     return GroupFunction(n, symbol_count(n, (2, 3)) == ell)
-
-
-def canonical_sphere_word(n: int, u: int) -> tuple[int, ...]:
-    """A representative with u leading ones: (1,...,1,0,...,0)."""
-    _check_range("weight", u, n)
-    return (1,) * u + (0,) * (n - u)
-
-
-def sphere_transform(n: int, ell: int, x) -> float:
-    """Transform of the ell-th frequency sphere at x, by direct summation.
-
-    x must have n entries in {0, 1, 4}.  The sum over sphere members is real
-    by the +- symmetry; the imaginary residue is checked and discarded.
-    """
-    _check_range("degree", ell, n)
-    x = tuple(c % _Q for c in x)
-    if len(x) != n or any(c not in (0, 1, _Q - 1) for c in x):
-        raise ValueError(f"word {x!r} not in {{0, +-1}}^{n}")
-    total = 0.0 + 0.0j
-    for positions in itertools.combinations(range(n), ell):
-        for signs in itertools.product((2, 3), repeat=ell):
-            phase = sum(s * x[pos] for pos, s in zip(positions, signs))
-            total += np.exp(2j * np.pi * phase / _Q)
-    if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
-        raise AssertionError(f"non-real sphere transform {total!r}")
-    return float(total.real)
-
-
-def sphere_transform_closed_form(n: int, ell: int, u: int) -> float:
-    """(2 cos(pi/5))^ell K_ell(u; n, q') with q' = 1 + 1/cos(pi/5) = sqrt 5.
-
-    u is the weight of a word in {0, +-1}^n, so an integer in 0..n.
-    """
-    _check_range("degree", ell, n)
-    _check_range("weight", u, n)
-    return (2.0 * _COS) ** ell * krawtchouk(n, ell, u)

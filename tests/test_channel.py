@@ -105,6 +105,20 @@ def test_monte_carlo_memory_cap():
     assert peak <= (4 * math.ceil(m / 8) + 128) * 2**16, peak / 2**20
 
 
+def test_monte_carlo_caps_the_default_batch_of_a_large_code():
+    # 2000 words: one default batch of all 2^15 trials would need 35 MiB by
+    # the per-trial bound, so it is cut to the trials that fit 16 MiB
+    code = np.random.default_rng(4).integers(0, 5, size=(2000, 10))
+    tracemalloc.start()
+    try:
+        errors = monte_carlo_pe(code, 1 << 15, seed=9).errors
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 24, peak / 2**20
+    assert errors == monte_carlo_pe(code, 1 << 15, seed=9, batch=1000).errors
+
+
 def test_two_codeword_error_rate():
     # a pair at typewriter distance z collides with probability 2^-z and the
     # fair tie break halves it

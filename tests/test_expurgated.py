@@ -53,6 +53,9 @@ def test_q_form_refuses_malformed_codes():
         ([(0, 1), (2, 3), (0, 1)], "repeated codewords"),
         ([(0,), (1, 2)], "unequal length"),
         ([(0,), (5,)], "bad word"),
+        ([(2.9,), (4,)], "bad word"),
+        ([(0.7,), (1.2,)], "bad word"),
+        ([(2.0,), (4,)], "bad word"),
     ):
         with pytest.raises(ValueError, match=reason):
             q_form(1.0, code)

@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 
 from typewriter_bounds.fourier import (
     GroupFunction,
-    canonical_sphere_word,
     dft,
     freq_sphere_indicator,
     idft,
     inner,
     lovasz_assignment,
     lovasz_bound,
-    sphere_transform,
-    sphere_transform_closed_form,
     symbol_count,
 )
 from typewriter_bounds.lpbound import _CUBE, _CUBE_IDFT, _HALF, _HALF_DFT, _SPHERE, _apply_axes
@@ -155,41 +152,10 @@ def test_freq_sphere_indicators_partition_the_half_alphabet_cube(n):
             assert on == [], x
 
 
-def test_canonical_sphere_word():
-    assert canonical_sphere_word(4, 2) == (1, 1, 0, 0)
-    assert canonical_sphere_word(3, 0) == (0, 0, 0)
-    with pytest.raises(ValueError):
-        canonical_sphere_word(3, 4)
-
-
-def test_sphere_transform_identity_small():
-    for n in (2, 4):
-        for ell in range(n + 1):
-            for u in range(n + 1):
-                direct = sphere_transform(n, ell, canonical_sphere_word(n, u))
-                closed = sphere_transform_closed_form(n, ell, u)
-                assert direct == pytest.approx(closed, abs=1e-10)
-
-
-def test_sphere_transform_rejects_words_off_the_unit_sphere():
-    with pytest.raises(ValueError):
-        sphere_transform(2, 1, (2, 0))
-
-
 @pytest.mark.parametrize("ell", [3, -1])
 def test_both_sphere_evaluators_refuse_a_degree_outside_0_to_n(ell):
-    with pytest.raises(ValueError, match=rf"degree {ell} not in 0\.\.2"):
-        sphere_transform(2, ell, (1, 0))
-    with pytest.raises(ValueError, match=rf"degree {ell} not in 0\.\.2"):
-        sphere_transform_closed_form(2, ell, 1)
-
-
-@pytest.mark.parametrize("u", [3, 2.5, -1, 1.0])
-def test_closed_form_refuses_weights_that_no_word_has(u):
-    with pytest.raises(ValueError, match=rf"weight {u} not in 0\.\.2"):
-        sphere_transform_closed_form(2, 1, u)
-    with pytest.raises(ValueError, match=rf"weight {u} not in 0\.\.2"):
-        canonical_sphere_word(2, u)
+    with pytest.raises(ValueError, match=rf"sphere index {ell} not in 0\.\.2"):
+        freq_sphere_indicator(2, ell)
 
 
 def test_effective_alphabet_parameter_is_sqrt5():

@@ -602,13 +602,13 @@ def _orbit_pruning_agrees(n, pick):
     assert _max_clique_with_zero(adj, orbits) == _max_clique_with_zero(adj, singletons)
 
 
-@settings(deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=100, derandomize=True)
 @given(pick=st.lists(st.booleans(), min_size=5, max_size=5))
 def test_orbit_pruning_matches_singleton_orbits_on_z5_squared(pick):
     _orbit_pruning_agrees(2, pick)
 
 
-@settings(deadline=None, max_examples=12)
+@settings(deadline=None, max_examples=12, derandomize=True)
 @given(pick=st.lists(st.booleans(), min_size=9, max_size=9))
 def test_orbit_pruning_matches_singleton_orbits_on_z5_cubed(pick):
     _orbit_pruning_agrees(3, pick)
