@@ -12,40 +12,32 @@ __version__ = "0.1.0"
 
 from .channel import SimResult, confusion_prob, monte_carlo_pe
 from .construction import (
-    INF,
-    ExponentResult,
     Spectrum,
     StructuredGenerator,
-    gv_delta,
     hamming_spectrum,
-    optimize_exponent,
     structured_weight,
     union_bound,
     weight_spectrum,
-    word_distance,
-    word_weight,
 )
 from .curves import (
     CAPACITY,
     GV_SLOPE,
     SL_STAR_FACTOR,
     ZERO_ERROR_CAPACITY,
+    ExponentResult,
     delta_of_r,
     e_gv_star,
     e_lp1,
     e_rex,
     e_sl,
     e_sl_star,
+    gv_delta,
+    optimize_exponent,
     r_lp1,
     r_star,
     sample_curves,
 )
-from .expurgated import (
-    critical_rho,
-    ex_exponent_inf,
-    q_form,
-    zero_error_code2,
-)
+from .expurgated import critical_rho, ex_exponent_inf, q_form
 from .fourier import GroupFunction, dft, idft, lovasz_assignment, lovasz_bound
 from .lpbound import (
     QPRIME,
@@ -57,7 +49,7 @@ from .lpbound import (
     solve_distance_lp,
     verify_certificate,
 )
-from .scalars import krawtchouk, qary_entropy
+from .scalars import INF, krawtchouk, qary_entropy, word_distance, word_weight
 from .verification import run_suite
 
 __all__ = [
@@ -80,7 +72,6 @@ __all__ = [
     "critical_rho",
     "ex_exponent_inf",
     "q_form",
-    "zero_error_code2",
     "word_distance",
     "word_weight",
     "structured_weight",

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import INF, _symbols, word_distance
+from .construction import _symbols
 from .curves import _fmt
+from .scalars import INF, word_distance
 
 __all__ = [
     "confusion_prob",

@@ -120,7 +120,7 @@ def _cmd_gv(args) -> int:
     lines = [f"# {stamp}", "r,delta_gv,delta_star,tau_star,exponent"]
     for i in range(args.samples):
         r = args.rmin + (args.rmax - args.rmin) * i / (args.samples - 1)
-        res = construction.optimize_exponent(r)
+        res = curves.optimize_exponent(r)
         lines.append(
             ",".join(
                 _fmt(v)

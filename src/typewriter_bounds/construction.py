@@ -1,11 +1,9 @@
 """Linear code constructions over Z5 tuned to the typewriter channel.
 
-The channel confuses symbol a with b only when a - b is 0 or +-1 (mod 5), so
-the relevant distance between words is Hamming distance when every coordinate
-differs by at most 1 (mod 5) and infinity otherwise.  Codes are built from a
-stacked generator [[I, 2I], [0, G]]: the top rows span n copies of the
-two-letter zero-error kernel {(u, 2u)}, and an inner generator G over Z5
-selects which shifted copies appear.  Coordinate i of the codeword
+Distances and weights are those of the typewriter metric in `scalars`.
+Codes are built from a stacked generator [[I, 2I], [0, G]]: the top rows
+span n copies of the two-letter zero-error kernel {(u, 2u)}, and an inner
+generator G over Z5 selects which shifted copies appear.  Coordinate i of the codeword
 (u1, 2 u1 + nu) weighs w(u1_i) + w(2 u1_i + nu_i), one entry of a 5 x 5
 table, so a weight never materialises the length-2n word.  As u1_i runs
 over Z5, a coordinate with nu_i = 0 has finite weight only once, weight 0,
@@ -21,33 +19,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import GV_SLOPE
-from .scalars import LOG5, bisect_root, qary_entropy
+from .scalars import _SYMBOL_WEIGHT, INF
 
 __all__ = [
-    "INF",
-    "word_distance",
-    "word_weight",
     "structured_weight",
     "StructuredGenerator",
     "Spectrum",
     "weight_spectrum",
     "hamming_spectrum",
     "union_bound",
-    "gv_delta",
-    "ExponentResult",
-    "optimize_exponent",
     "code_from_generator",
     "write_code_file",
     "read_code_file",
 ]
 
-INF = math.inf
-
 _ENUM_GUARD = 10**7
-
-# per-symbol weight against 0: w(0)=0, w(+-1)=1, w(+-2)=inf
-_SYMBOL_WEIGHT = (0, 1, INF, INF, 1)
 
 
 def _symbols(values, what: str) -> np.ndarray:
@@ -61,24 +47,6 @@ def _symbols(values, what: str) -> np.ndarray:
     if arr.dtype.kind not in "iu" and arr.size:
         raise ValueError(f"{what} symbols must be integers, got dtype {arr.dtype}")
     return (arr % 5).astype(np.int8)
-
-
-def word_distance(x, y) -> int | float:
-    """Sum of symbol distances with saturation at infinity."""
-    if len(x) != len(y):
-        raise ValueError("length mismatch")
-    d = 0
-    for a, b in zip(x, y):
-        s = _SYMBOL_WEIGHT[(a - b) % 5]
-        if s == INF:
-            return INF
-        d += s
-    return d
-
-
-def word_weight(x) -> int | float:
-    """Distance from the all-zero word."""
-    return word_distance(x, (0,) * len(x))
 
 
 # per-coordinate weight of (u1, 2 u1 + nu): _CONTRIB[a, v] = w(a) + w(2a + v),
@@ -196,49 +164,6 @@ def hamming_spectrum(G) -> Spectrum:
 def union_bound(spectrum: Spectrum) -> float:
     """Union bound sum_z A_z 2^(-z) over finite weights z >= 1."""
     return math.fsum(c * 2.0 ** (-z) for z, c in spectrum.counts.items() if z >= 1)
-
-
-def gv_delta(r: float) -> float:
-    """The delta in (0, 4/5] solving r*log5 = log5 - H2(delta) - 2*delta.
-
-    The right side falls strictly from log5 at delta = 0 to exactly 0 at
-    delta = 4/5 (closed form H2(4/5) = log2(5) - 8/5), so each r in [0, 1)
-    has one solution; r = 0 hits the tangential endpoint root 4/5.
-    """
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"normalised rate {r!r} outside [0, 1)")
-    target = r * LOG5
-    return bisect_root(lambda d: LOG5 - qary_entropy(d, 2.0) - 2.0 * d - target, 0.0, 0.8)
-
-
-@dataclass(frozen=True)
-class ExponentResult:
-    """Optimised error exponent of the construction at inner rate r."""
-
-    r: float
-    delta_gv: float
-    delta_star: float
-    tau_star: float
-    exponent: float
-
-
-def optimize_exponent(r: float) -> ExponentResult:
-    """Best achievable exponent (length-n normalisation) at inner rate r.
-
-    The inner maximisation over the split fraction tau is always solved by
-    tau = 1/3; the distance fraction delta is 3/4 when the GV distance allows
-    it and the GV distance itself otherwise, which switches the exponent
-    between -(log5*(r-1) + 2) and delta_gv*(4/3 - H2(1/3)).
-    """
-    d_gv = gv_delta(r)
-    tau_star = 1.0 / 3.0
-    if d_gv <= 0.75:
-        delta_star = 0.75
-        exponent = -(LOG5 * (r - 1.0) + 2.0)
-    else:
-        delta_star = d_gv
-        exponent = d_gv * GV_SLOPE
-    return ExponentResult(r, d_gv, delta_star, tau_star, exponent)
 
 
 def code_from_generator(gen: StructuredGenerator) -> np.ndarray:

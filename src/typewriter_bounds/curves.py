@@ -12,7 +12,9 @@ evaluated here:
   e_lp1      upper bound defined implicitly through a linear-programming
              rate bound at imaginary alphabet size sqrt(5)
 
-All rates and exponents are in bits (base-2 logarithms).
+The construction behind e_gv_star has its own exponent at inner rate r,
+optimize_exponent, over the GV distance gv_delta.  All rates and exponents
+are in bits (base-2 logarithms).
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ __all__ = [
     "r_star",
     "delta_of_r",
     "e_gv_star",
+    "gv_delta",
+    "ExponentResult",
+    "optimize_exponent",
     "r_lp1",
     "e_lp1",
     "BoundCurve",
@@ -105,6 +110,49 @@ def e_gv_star(r: float) -> float:
     if r <= r_star():
         return GV_SLOPE * delta_of_r(r)
     return e_rex(r)
+
+
+def gv_delta(r: float) -> float:
+    """The delta in (0, 4/5] solving r*log5 = log5 - H2(delta) - 2*delta.
+
+    The right side falls strictly from log5 at delta = 0 to exactly 0 at
+    delta = 4/5 (closed form H2(4/5) = log2(5) - 8/5), so each r in [0, 1)
+    has one solution; r = 0 hits the tangential endpoint root 4/5.
+    """
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"normalised rate {r!r} outside [0, 1)")
+    target = r * LOG5
+    return bisect_root(lambda d: LOG5 - qary_entropy(d, 2.0) - 2.0 * d - target, 0.0, 0.8)
+
+
+@dataclass(frozen=True)
+class ExponentResult:
+    """Optimised error exponent of the construction at inner rate r."""
+
+    r: float
+    delta_gv: float
+    delta_star: float
+    tau_star: float
+    exponent: float
+
+
+def optimize_exponent(r: float) -> ExponentResult:
+    """Best achievable exponent (length-n normalisation) at inner rate r.
+
+    The inner maximisation over the split fraction tau is always solved by
+    tau = 1/3; the distance fraction delta is 3/4 when the GV distance allows
+    it and the GV distance itself otherwise, which switches the exponent
+    between -(log5*(r-1) + 2) and delta_gv*(4/3 - H2(1/3)).
+    """
+    d_gv = gv_delta(r)
+    tau_star = 1.0 / 3.0
+    if d_gv <= 0.75:
+        delta_star = 0.75
+        exponent = -(LOG5 * (r - 1.0) + 2.0)
+    else:
+        delta_star = d_gv
+        exponent = d_gv * GV_SLOPE
+    return ExponentResult(r, d_gv, delta_star, tau_star, exponent)
 
 
 def r_lp1(delta: float) -> float:

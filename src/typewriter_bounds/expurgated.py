@@ -19,16 +19,13 @@ import math
 import numbers
 from fractions import Fraction
 
-from .construction import INF, word_distance
-from .lpbound import max_code
-from .scalars import LOG5
+from .scalars import INF, LOG5, word_distance
 
 __all__ = [
     "circulant_eigenvalues",
     "critical_rho",
     "ex_exponent_inf",
     "q_form",
-    "zero_error_code2",
 ]
 
 
@@ -101,16 +98,3 @@ def q_form(rho: float, code) -> float | Fraction:
                 continue
             acc += p * p * 2.0 ** (-d / rho)
     return acc
-
-
-def zero_error_code2() -> list[tuple[int, int]]:
-    """Lexicographically first 5-word zero-error code of blocklength 2.
-
-    The exact clique search max_code(2, inf) over the 25 words, where two
-    words may share a code only when they are non-confusable.  Returns the
-    shifted double {(i, 2i mod 5)}; a size-6 code does not exist.
-    """
-    size, words = max_code(2, INF)
-    if size != 5:
-        raise AssertionError(f"expected a 5-word zero-error code, found {size}")
-    return list(words)

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import INF, word_distance
 from .curves import _fmt
 from .fourier import _COS, _Q, _SIZE_GUARD, GroupFunction, _check_size, lovasz_bound
-from .scalars import _MAX_KRAWTCHOUK_N, _POWERS, QPRIME, _krawtchouk_row, bisect_root, krawtchouk
+from .scalars import (
+    _MAX_KRAWTCHOUK_N, _POWERS, INF, QPRIME, _krawtchouk_row, bisect_root, krawtchouk, word_distance
+)
 from .simplex import simplex_solve
 
 __all__ = [

@@ -3,8 +3,11 @@
 Everything here is deliberately dependency-free: q-ary entropy, log-domain
 binomials, a deterministic bisection root finder, and Krawtchouk polynomial
 evaluation at the irrational alphabet parameter q' = sqrt 5 of the distance
-LP.  The package's alphabet constants log2 5 and q' live here.  All
-logarithms are base 2.
+LP.  The package's alphabet constants log2 5 and q' live here, and so does
+the typewriter metric: symbols a and b are confusable only when a - b is 0
+or +-1 (mod 5), so two words are at Hamming distance when every coordinate
+differs by at most 1 (mod 5) and at infinity otherwise.  All logarithms are
+base 2.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ import math
 __all__ = [
     "LOG5",
     "QPRIME",
+    "INF",
+    "word_distance",
+    "word_weight",
     "qary_entropy",
     "log2_binomial",
     "bisect_root",
@@ -37,6 +43,29 @@ _FACTORIALS = tuple(float(math.factorial(k)) for k in range(_MAX_KRAWTCHOUK_N + 
 _SIGNED_POWERS = tuple(
     tuple((-1.0) ** j * _POWERS[ell - j] for j in range(ell + 1)) for ell in range(len(_POWERS))
 )
+
+INF = math.inf
+
+# per-symbol weight against 0: w(0)=0, w(+-1)=1, w(+-2)=inf
+_SYMBOL_WEIGHT = (0, 1, INF, INF, 1)
+
+
+def word_distance(x, y) -> int | float:
+    """Sum of symbol distances with saturation at infinity."""
+    if len(x) != len(y):
+        raise ValueError("length mismatch")
+    d = 0
+    for a, b in zip(x, y):
+        s = _SYMBOL_WEIGHT[(a - b) % 5]
+        if s == INF:
+            return INF
+        d += s
+    return d
+
+
+def word_weight(x) -> int | float:
+    """Distance from the all-zero word."""
+    return word_distance(x, (0,) * len(x))
 
 
 def qary_entropy(t: float, q: float) -> float:

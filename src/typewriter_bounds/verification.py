@@ -80,7 +80,7 @@ def _check_exponent_branch_continuity():
 
 
 def _check_shannon_q_form():
-    val = expurgated.q_form(1.0, expurgated.zero_error_code2())
+    val = expurgated.q_form(1.0, lpbound.max_code(2, scalars.INF)[1])
     ok = val == Fraction(1, 5)
     return ok, f"Q^2 on the 5-word zero-error code: {val!r}, want Fraction(1, 5)"
 
@@ -100,7 +100,7 @@ def _check_union_bound_value():
 
 
 def _check_gv_zero_rate():
-    return _close(construction.gv_delta(0.0), 0.8, 1e-9, "gv_delta(0)")
+    return _close(curves.gv_delta(0.0), 0.8, 1e-9, "gv_delta(0)")
 
 
 def _check_transform_oracle():

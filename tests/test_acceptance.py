@@ -18,6 +18,7 @@ from typewriter_bounds import (
     expurgated,
     fourier,
     lpbound,
+    scalars,
 )
 from typewriter_bounds.scalars import bisect_root, krawtchouk
 
@@ -75,7 +76,7 @@ def test_criterion_05_exact_q_form_on_the_shannon_code():
     from fractions import Fraction
 
     t0 = time.perf_counter()
-    code = expurgated.zero_error_code2()
+    code = lpbound.max_code(2, scalars.INF)[1]
     for rho in (1.0, 1.5, 3.0):
         q2 = expurgated.q_form(rho, code)
         assert isinstance(q2, Fraction)
@@ -120,7 +121,7 @@ def test_criterion_08_composite_bound_soundness_sweep():
             assert len(witness) == size, (n, d)
             assert witness[0] == (0,) * n, (n, d)
             for x, y in itertools.combinations(witness, 2):
-                assert construction.word_distance(x, y) >= d, (n, d, x, y)
+                assert scalars.word_distance(x, y) >= d, (n, d, x, y)
     assert time.perf_counter() - t0 < 60.0
 
 
@@ -129,7 +130,7 @@ def test_criterion_09_structured_weight_equals_direct_weight():
         words = list(itertools.product(range(5), repeat=n))
         for u1 in words:
             for nu in words:
-                direct = construction.word_weight(
+                direct = scalars.word_weight(
                     u1 + tuple((2 * a + v) % 5 for a, v in zip(u1, nu))
                 )
                 assert construction.structured_weight(u1, nu) == direct, (u1, nu)
@@ -185,8 +186,8 @@ def test_criterion_11_figure_table_is_ordered_and_reproducible(tmp_path):
 
 
 def test_criterion_12_gv_anchor_recovers_r_star():
-    assert abs(construction.gv_delta(0.0) - 0.8) <= 1e-6
-    r = bisect_root(lambda t: construction.gv_delta(t) - 0.75, 0.0, 0.5)
+    assert abs(curves.gv_delta(0.0) - 0.8) <= 1e-6
+    r = bisect_root(lambda t: curves.gv_delta(t) - 0.75, 0.0, 0.5)
     mapped = curves.LOG5 * (1.0 + r) / 2.0
     assert abs(mapped - curves.r_star()) <= 1e-6
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from typewriter_bounds.channel import SimResult, confusion_prob, monte_carlo_pe
 from typewriter_bounds.construction import StructuredGenerator, code_from_generator
-from typewriter_bounds.expurgated import zero_error_code2
+from typewriter_bounds.lpbound import max_code
+from typewriter_bounds.scalars import INF
 
 
 def test_confusable_and_confusion_prob():
@@ -131,7 +132,7 @@ def test_two_codeword_error_rate():
 
 
 def test_zero_error_code_never_errs():
-    res = monte_carlo_pe(zero_error_code2(), 10**5, seed=2)
+    res = monte_carlo_pe(max_code(2, INF)[1], 10**5, seed=2)
     assert res.errors == 0
     assert res.estimate == 0.0
 

@@ -1,4 +1,4 @@
-"""Structured code construction, spectra, and the GV-style exponent."""
+"""Structured code construction and its weight spectra."""
 
 import itertools
 import math
@@ -11,22 +11,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from typewriter_bounds.construction import (
-    INF,
     StructuredGenerator,
     code_from_generator,
-    gv_delta,
     hamming_spectrum,
-    optimize_exponent,
     read_code_file,
     structured_weight,
     union_bound,
     weight_spectrum,
-    word_distance,
-    word_weight,
     write_code_file,
 )
-from typewriter_bounds.curves import GV_SLOPE, LOG5
-from typewriter_bounds.scalars import bisect_root, qary_entropy
+from typewriter_bounds.scalars import INF, word_distance, word_weight
 
 
 def test_symbol_and_word_distance():
@@ -98,39 +92,6 @@ def test_spectrum_from_inner_hamming_distribution():
 def test_union_bound_on_the_seed_code():
     spec = weight_spectrum(StructuredGenerator(2, 1, [[1, 2]]))
     assert union_bound(spec) == pytest.approx(2.25, abs=1e-12)
-
-
-def test_gv_delta_anchors():
-    assert gv_delta(0.0) == pytest.approx(0.8, abs=1e-9)
-    assert gv_delta(0.5) < gv_delta(0.1) < 0.8
-    with pytest.raises(ValueError):
-        gv_delta(1.0)
-    with pytest.raises(ValueError):
-        gv_delta(-0.1)
-
-
-def test_gv_delta_zeroes_the_spectrum_exponent():
-    for r in (0.0, 0.2, 0.5, 0.9):
-        delta = gv_delta(r)
-        exponent = (r - 1.0) * LOG5 + qary_entropy(delta, 2.0) + 2.0 * delta
-        assert exponent == pytest.approx(0.0, abs=1e-9)
-
-
-def test_optimize_exponent_branches_agree_at_the_switch():
-    r_switch = bisect_root(lambda t: gv_delta(t) - 0.75, 0.0, 0.5)
-    lo = optimize_exponent(r_switch - 1e-9)
-    hi = optimize_exponent(r_switch + 1e-9)
-    assert abs(lo.exponent - hi.exponent) <= 1e-6
-    assert lo.exponent == pytest.approx(0.311278, abs=1e-5)
-    assert hi.delta_star == 0.75
-    assert lo.tau_star == hi.tau_star == pytest.approx(1.0 / 3.0, abs=0)
-
-
-def test_optimize_exponent_at_zero_rate():
-    res = optimize_exponent(0.0)
-    assert res.delta_gv == pytest.approx(0.8, abs=1e-9)
-    assert res.delta_star == res.delta_gv
-    assert res.exponent == pytest.approx(0.8 * GV_SLOPE, abs=1e-9)
 
 
 def test_seed_code_has_125_distinct_words():

@@ -20,11 +20,13 @@ from typewriter_bounds.curves import (
     e_rex,
     e_sl,
     e_sl_star,
+    gv_delta,
+    optimize_exponent,
     r_lp1,
     r_star,
     sample_curves,
 )
-from typewriter_bounds.scalars import QPRIME
+from typewriter_bounds.scalars import QPRIME, bisect_root, qary_entropy
 
 C0 = ZERO_ERROR_CAPACITY
 C = CAPACITY
@@ -65,8 +67,6 @@ def test_delta_of_r_anchors_and_monotonicity():
 
 
 def test_r_star_value():
-    from typewriter_bounds.scalars import qary_entropy
-
     want = LOG5 - 0.5 * qary_entropy(0.25, 2.0) - 0.75
     assert r_star() == pytest.approx(want, abs=1e-12)
     assert r_star() == pytest.approx(1.1662890326577957, abs=1e-12)
@@ -143,6 +143,49 @@ def test_e_gv_star_branches():
     assert e_gv_star(C0) > e_rex(C0)
     for r in (1.2, 1.25, C):
         assert e_gv_star(r) == e_rex(r)
+
+
+def test_gv_delta_anchors():
+    assert gv_delta(0.0) == pytest.approx(0.8, abs=1e-9)
+    assert gv_delta(0.5) < gv_delta(0.1) < 0.8
+    with pytest.raises(ValueError):
+        gv_delta(1.0)
+    with pytest.raises(ValueError):
+        gv_delta(-0.1)
+
+
+def test_gv_delta_zeroes_the_spectrum_exponent():
+    for r in (0.0, 0.2, 0.5, 0.9):
+        delta = gv_delta(r)
+        exponent = (r - 1.0) * LOG5 + qary_entropy(delta, 2.0) + 2.0 * delta
+        assert exponent == pytest.approx(0.0, abs=1e-9)
+
+
+def test_optimize_exponent_branches_agree_at_the_switch():
+    r_switch = bisect_root(lambda t: gv_delta(t) - 0.75, 0.0, 0.5)
+    lo = optimize_exponent(r_switch - 1e-9)
+    hi = optimize_exponent(r_switch + 1e-9)
+    assert abs(lo.exponent - hi.exponent) <= 1e-6
+    assert lo.exponent == pytest.approx(0.311278, abs=1e-5)
+    assert hi.delta_star == 0.75
+    assert lo.tau_star == hi.tau_star == pytest.approx(1.0 / 3.0, abs=0)
+
+
+def test_optimize_exponent_at_zero_rate():
+    res = optimize_exponent(0.0)
+    assert res.delta_gv == pytest.approx(0.8, abs=1e-9)
+    assert res.delta_star == res.delta_gv
+    assert res.exponent == pytest.approx(0.8 * GV_SLOPE, abs=1e-9)
+
+
+def test_delta_of_r_is_half_the_gv_distance():
+    # with d = 2 delta, delta_of_r's equation log5 - 2 delta - H2(2 delta)/2 = R
+    # is gv_delta's log5 - H2(d) - 2d = r log5 at r = 2R/log5 - 1; the two
+    # bisections each stop within 1e-12 of the root
+    lo, hi = C0, r_star()
+    for i in range(201):
+        rate = hi if i == 200 else lo + (hi - lo) * i / 200
+        assert abs(delta_of_r(rate) - gv_delta(2.0 * rate / LOG5 - 1.0) / 2.0) <= 1e-12, rate
 
 
 def test_e_lp1_frozen_values():

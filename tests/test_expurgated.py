@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typewriter_bounds import expurgated
-from typewriter_bounds.construction import INF, word_distance
 from typewriter_bounds.curves import CAPACITY, LOG5
 from typewriter_bounds.expurgated import (
     circulant_eigenvalues,
     critical_rho,
     ex_exponent_inf,
     q_form,
-    zero_error_code2,
 )
+from typewriter_bounds.lpbound import max_code
+from typewriter_bounds.scalars import INF
 
 
 def test_circulant_eigenvalues_match_dense_spectrum():
@@ -69,7 +69,7 @@ def test_q_form_uniform_single_letter_closed_form():
 
 
 def test_q_form_on_zero_error_code_is_exact():
-    code = zero_error_code2()
+    code = max_code(2, INF)[1]
     for rho in (1.0, 1.5, 3.0):
         got = q_form(rho, code)
         assert isinstance(got, Fraction)
@@ -105,14 +105,6 @@ def test_q_form_matches_the_pair_sum(code, rho):
     if zero_error:
         assert got == Fraction(1, m)
     assert float(got) == pytest.approx(want, rel=1e-13)
-
-
-def test_zero_error_code2_witness():
-    code = zero_error_code2()
-    assert code == [(0, 0), (1, 2), (2, 4), (3, 1), (4, 3)]
-    for i, x in enumerate(code):
-        for y in code[i + 1:]:
-            assert word_distance(x, y) == INF
 
 
 def test_e_ex2_is_the_sup_over_rho():

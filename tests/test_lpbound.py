@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typewriter_bounds import lpbound
-from typewriter_bounds.construction import word_distance, word_weight
 from typewriter_bounds.fourier import (
     GroupFunction,
     dft,
@@ -39,9 +38,7 @@ from typewriter_bounds.lpbound import (
     solve_distance_lp,
     verify_certificate,
 )
-from typewriter_bounds.scalars import bisect_root, krawtchouk
-
-INF = math.inf
+from typewriter_bounds.scalars import INF, bisect_root, krawtchouk, word_distance, word_weight
 
 
 def test_qprime_is_sqrt5_to_rounding():
