@@ -40,7 +40,6 @@ from .curves import (
 from .expurgated import critical_rho, ex_exponent_inf, q_form
 from .fourier import GroupFunction, dft, idft, lovasz_assignment, lovasz_bound
 from .lpbound import (
-    QPRIME,
     LPSolution,
     composite_bound,
     max_code,
@@ -49,7 +48,7 @@ from .lpbound import (
     solve_distance_lp,
     verify_certificate,
 )
-from .scalars import INF, krawtchouk, qary_entropy, word_distance, word_weight
+from .scalars import INF, QPRIME, krawtchouk, qary_entropy, word_distance, word_weight
 from .verification import run_suite
 
 __all__ = [

@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 
-from . import __version__, construction, curves, expurgated, lpbound, verification
+from . import __version__, construction, curves, expurgated, lpbound, scalars, verification
 from .channel import monte_carlo_pe
 from .curves import _fmt
 
@@ -151,7 +151,7 @@ def _cmd_lp(args) -> int:
         f"# {_stamp('lp', n=args.n, d=args.d, mrrw=args.mrrw)}",
         f"n {args.n}",
         f"d {'inf' if args.d == math.inf else args.d}",
-        f"qprime {_fmt(lpbound.QPRIME)}",
+        f"qprime {_fmt(scalars.QPRIME)}",
         f"status {sol.status}",
         f"objective {_fmt(sol.objective)}",
         f"lovasz {_fmt(lov)}",

@@ -31,7 +31,6 @@ from .scalars import (
 from .simplex import simplex_solve
 
 __all__ = [
-    "QPRIME",
     "LPSolution",
     "solve_distance_lp",
     "composite_bound",
@@ -413,6 +412,17 @@ def max_code(n: int, d):
     any orbit-mate of v maps onto one of those, so the root drops v's whole
     orbit, not just v: at n = 3 it branches at most 9 times, not up to 124.
     The witness pass keeps lex order and only reads the size.
+
+    Both passes also cap the code by first-symbol blocks.  The 5^(n-1)
+    words with one first symbol are a contiguous run of the scan order, and
+    two of them are exactly as far apart as their suffixes, since equal
+    first symbols add 0 to the distance.  So a code meets each block in at
+    most max_code(n - 1, d) words (1 at n = 1), and has at most 5 times
+    that many.  The size pass stops as soon as it finds a code of that
+    size: at (3, 2) the first 50-word code ends it.  The witness pass only
+    adds words above the lowest word v of its candidates, so it prunes a
+    node whose chosen words plus the room left in v's block plus the cap of
+    each later block fall short of the size.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -439,24 +449,38 @@ def _max_code_impl(n: int, d):
     orbit_of_key: dict[tuple, int] = {}
     for v, key in enumerate(keys):
         orbit_of_key[key] = orbit_of_key.get(key, 0) | 1 << v
-    size, clique = _max_clique_with_zero(adj, [orbit_of_key[key] for key in keys])
+    # first-symbol blocks, capped by the cached search one length down (not
+    # max_code, so a traced run records one span per search)
+    run = 5 ** (n - 1)
+    blocks = [((1 << run) - 1) << (run * a) for a in range(5)]
+    cap = _max_code_impl(n - 1, _normalize_d(n - 1, d))[0] if n > 1 else 1
+    size, clique = _max_clique_with_zero(adj, [orbit_of_key[key] for key in keys], blocks, cap)
     return size, tuple(words[v] for v in clique)
 
 
-def _max_clique_with_zero(adj: list, orbits: list) -> tuple:
+def _max_clique_with_zero(adj: list, orbits: list, blocks=None, cap=None) -> tuple:
     """Size and ascending vertices of the lex-first maximum clique through 0.
 
     adj[v] is the bitset of the neighbours of v (symmetric, no loops), and
     orbits[v] the bitset of v's orbit under automorphisms of the graph that
-    fix vertex 0 (just 1 << v when none is known).  The size pass and the
-    witness pass are those described in max_code.
+    fix vertex 0 (just 1 << v when none is known).  blocks are bitsets of
+    contiguous runs of vertices, in order, that partition them, and no
+    clique meets a block more than cap times; without them one block holds
+    every vertex and nothing is pruned.  The size pass and the witness pass
+    are those described in max_code.
     """
     universe = (1 << len(adj)) - 1
+    if blocks is None:
+        blocks, cap = [universe], len(adj)
     # bitsets are keyed by their lowest set bit so the hot loops never need
     # an index extraction; single-bit ints hash cheaply
     adj_by_bit = {1 << v: row for v, row in enumerate(adj)}
     conf_by_bit = {1 << v: universe & ~row & ~(1 << v) for v, row in enumerate(adj)}
     orbit_by_bit = {1 << v: orbit for v, orbit in enumerate(orbits)}
+    block_by_bit = {1 << v: b for b, block in enumerate(blocks) for v in range(len(adj)) if block >> v & 1}
+    # most a clique can still add from block b on, before counting its words in b
+    room = [cap * (len(blocks) - b) for b in range(len(blocks))]
+    limit = cap * len(blocks)
 
     def colour_classes(pool: int) -> list:
         classes = []
@@ -473,24 +497,31 @@ def _max_clique_with_zero(adj: list, orbits: list) -> tuple:
 
     best = 0
 
-    def grow(pool: int, depth: int) -> None:
+    def grow(pool: int, depth: int) -> bool:
+        """True once a clique meets the block cap, which ends the pass."""
         nonlocal best
         if depth > best:
             best = depth
+            if best == limit:
+                return True
         classes = colour_classes(pool)
         for k in range(len(classes), 0, -1):
             cls = classes[k - 1]
             while cls:
                 if depth + k <= best:
-                    return
+                    return False
                 low = cls & -cls
                 cls ^= low
                 if not pool & low:
                     continue  # an orbit-mate of a root branch already searched
-                grow(pool & adj_by_bit[low], depth + 1)
+                if grow(pool & adj_by_bit[low], depth + 1):
+                    return True
                 # at the root, every clique through 0 and an orbit-mate of low
                 # maps onto one through 0 and low, which is now searched
                 pool &= ~(orbit_by_bit[low] if depth == 1 else low)
+        return False
+
+    taken = [0] * len(blocks)  # chosen vertices per block
 
     def scan(chosen: list, pool: int, depth: int) -> bool:
         if depth == best:
@@ -502,17 +533,21 @@ def _max_clique_with_zero(adj: list, orbits: list) -> tuple:
             low = pool & -pool
             while tops[-1] < low.bit_length():
                 tops.pop()
-            if depth + len(tops) < best:
+            b = block_by_bit[low]
+            if depth + len(tops) < best or depth - taken[b] + room[b] < best:
                 return False
             pool ^= low
             chosen.append(low)
+            taken[b] += 1
             if scan(chosen, pool & adj_by_bit[low], depth + 1):
                 return True
             chosen.pop()
+            taken[b] -= 1
         return False
 
     grow(adj[0], 1)
     chosen = [1]
+    taken[block_by_bit[1]] = 1
     scan(chosen, adj[0], 1)
     return best, [b.bit_length() - 1 for b in chosen]
 

@@ -26,7 +26,7 @@ def _close(got, want, tol, label):
 def _check_entropy_identity():
     # H2(4/5) + 8/5 = log2 5 exactly; anchors delta(C0) = 2/5
     got = scalars.qary_entropy(0.8, 2) + 1.6
-    return _close(got, curves.LOG5, 1e-14, "H2(4/5) + 8/5")
+    return _close(got, scalars.LOG5, 1e-14, "H2(4/5) + 8/5")
 
 
 def _check_krawtchouk_recurrence():

@@ -46,7 +46,7 @@ def test_criterion_03_branch_continuity_at_r_star():
     from typewriter_bounds.scalars import qary_entropy
 
     r_star = curves.r_star()
-    formula = curves.LOG5 - 0.5 * qary_entropy(0.25, 2.0) - 0.75
+    formula = scalars.LOG5 - 0.5 * qary_entropy(0.25, 2.0) - 0.75
     assert abs(r_star - formula) <= 1e-12
     assert abs(curves.delta_of_r(r_star) - 0.375) <= 1e-6
     assert abs(curves.e_gv_star(r_star) - curves.e_rex(r_star)) <= 1e-6
@@ -82,7 +82,7 @@ def test_criterion_05_exact_q_form_on_the_shannon_code():
         assert isinstance(q2, Fraction)
         assert q2 == Fraction(1, 5)
         exponent = -(rho / 2.0) * math.log2(float(q2))
-        assert abs(exponent - rho * curves.LOG5 / 2.0) <= 1e-12
+        assert abs(exponent - rho * scalars.LOG5 / 2.0) <= 1e-12
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -188,7 +188,7 @@ def test_criterion_11_figure_table_is_ordered_and_reproducible(tmp_path):
 def test_criterion_12_gv_anchor_recovers_r_star():
     assert abs(curves.gv_delta(0.0) - 0.8) <= 1e-6
     r = bisect_root(lambda t: curves.gv_delta(t) - 0.75, 0.0, 0.5)
-    mapped = curves.LOG5 * (1.0 + r) / 2.0
+    mapped = scalars.LOG5 * (1.0 + r) / 2.0
     assert abs(mapped - curves.r_star()) <= 1e-6
 
 

@@ -131,6 +131,12 @@ def test_two_codeword_error_rate():
     assert res.errors == round(res.estimate * 10**5)
 
 
+def test_ci95_is_the_normal_interval_on_a_seeded_run():
+    res = monte_carlo_pe([(0, 0, 0), (1, 1, 0)], 10**4, seed=0)
+    assert (res.errors, res.estimate) == (1259, 0.1259)
+    assert res.ci95 == 1.96 * math.sqrt(0.1259 * 0.8741 / 10**4) == 0.006502037898259283
+
+
 def test_zero_error_code_never_errs():
     res = monte_carlo_pe(max_code(2, INF)[1], 10**5, seed=2)
     assert res.errors == 0

@@ -94,6 +94,16 @@ def test_union_bound_on_the_seed_code():
     assert union_bound(spec) == pytest.approx(2.25, abs=1e-12)
 
 
+def test_union_bound_counts_weight_one_words():
+    # the inner word (1, 0) has Hamming weight 1, so A_1 = 4: the z = 1 term
+    # is 4/2 of the bound 3 = 4/2 + 4/4
+    gen = StructuredGenerator(2, 1, [[1, 0]])
+    spec = weight_spectrum(gen)
+    direct = Counter(word_distance(w, (0,) * 4) for w in code_from_generator(gen).tolist())
+    assert spec.counts == {0: 1, 1: 4, 2: 4} == {z: c for z, c in direct.items() if z != INF}
+    assert union_bound(spec) == 3.0
+
+
 def test_seed_code_has_125_distinct_words():
     code = code_from_generator(StructuredGenerator(2, 1, [[1, 2]]))
     assert code.shape == (125, 4)

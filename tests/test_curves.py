@@ -10,7 +10,6 @@ from typewriter_bounds.curves import (
     CAPACITY,
     CURVE_COLUMNS,
     GV_SLOPE,
-    LOG5,
     SL_STAR_FACTOR,
     ZERO_ERROR_CAPACITY,
     curves_csv,
@@ -26,7 +25,7 @@ from typewriter_bounds.curves import (
     r_star,
     sample_curves,
 )
-from typewriter_bounds.scalars import QPRIME, bisect_root, qary_entropy
+from typewriter_bounds.scalars import LOG5, QPRIME, bisect_root, qary_entropy
 
 C0 = ZERO_ERROR_CAPACITY
 C = CAPACITY

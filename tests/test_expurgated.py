@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typewriter_bounds import expurgated
-from typewriter_bounds.curves import CAPACITY, LOG5
+from typewriter_bounds.curves import CAPACITY
 from typewriter_bounds.expurgated import (
     circulant_eigenvalues,
     critical_rho,
@@ -17,7 +17,7 @@ from typewriter_bounds.expurgated import (
     q_form,
 )
 from typewriter_bounds.lpbound import max_code
-from typewriter_bounds.scalars import INF
+from typewriter_bounds.scalars import INF, LOG5
 
 
 def test_circulant_eigenvalues_match_dense_spectrum():

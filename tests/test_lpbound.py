@@ -22,7 +22,6 @@ from typewriter_bounds.fourier import (
 )
 from typewriter_bounds.lpbound import (
     _CUBE,
-    QPRIME,
     _apply_axes,
     _cube_certificate,
     _kraw_table,
@@ -38,7 +37,7 @@ from typewriter_bounds.lpbound import (
     solve_distance_lp,
     verify_certificate,
 )
-from typewriter_bounds.scalars import INF, bisect_root, krawtchouk, word_distance, word_weight
+from typewriter_bounds.scalars import INF, QPRIME, bisect_root, krawtchouk, word_distance, word_weight
 
 
 def test_qprime_is_sqrt5_to_rounding():
@@ -491,6 +490,17 @@ def test_max_code_small_cases():
     assert max_code(2, INF) == (5, ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3)))
 
 
+def test_max_code_witnesses_meet_the_first_symbol_cap():
+    # words with one first symbol are as far apart as their suffixes, so a
+    # code meets each first-symbol block at most max_code(n - 1, d) times
+    for (n, d), (size, witness) in _MAX_CODES.items():
+        cap = max_code(n - 1, d)[0] if n > 1 else 1
+        per_block = [sum(w[0] == str(a) for w in witness.split()) for a in range(5)]
+        assert sum(per_block) == size and max(per_block) <= cap, (n, d)
+        if (n, d) in ((2, 2), (3, 2)):
+            assert per_block == [cap] * 5, (n, d)  # the cap is tight here
+
+
 def _lex_first_clique_brute_force(adj):
     best = (0,)
     others = range(1, len(adj))
@@ -520,6 +530,39 @@ def test_max_clique_with_zero_matches_brute_force(nv, density, seed):
             adj[v] |= 1 << u
     singletons = [1 << v for v in range(nv)]
     assert _max_clique_with_zero(adj, singletons) == _lex_first_clique_brute_force(adj)
+
+
+def _largest_clique(adj, vertices):
+    for r in range(len(vertices), 0, -1):
+        for sub in itertools.combinations(vertices, r):
+            if all(adj[u] >> v & 1 for u, v in itertools.combinations(sub, 2)):
+                return r
+    return 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    nv=st.integers(1, 12),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    slack=st.integers(0, 1),
+)
+def test_block_cap_keeps_the_lex_first_clique(nv, density, seed, slack):
+    # contiguous blocks, each capped by the largest clique inside any of
+    # them (plus slack, since any upper bound is a valid cap)
+    rng = np.random.default_rng(seed)
+    adj = [0] * nv
+    for u, v in itertools.combinations(range(nv), 2):
+        if rng.random() < density:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    cuts = [0, *sorted(rng.choice(np.arange(1, nv), size=rng.integers(0, nv), replace=False)), nv]
+    runs = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    blocks = [sum(1 << v for v in run) for run in runs]
+    cap = max(_largest_clique(adj, run) for run in runs) + slack
+    singletons = [1 << v for v in range(nv)]
+    got = _max_clique_with_zero(adj, singletons, blocks, cap)
+    assert got == _lex_first_clique_brute_force(adj)
 
 
 def _root_maps(n):
@@ -561,15 +604,20 @@ def test_max_code_passes_the_explicit_root_orbits(monkeypatch):
     seen = []
     search = lpbound._max_clique_with_zero
 
-    def spy(adj, orbits):
-        seen.append(orbits)
-        return search(adj, orbits)
+    def spy(adj, orbits, blocks, cap):
+        seen.append((orbits, blocks, cap))
+        return search(adj, orbits, blocks, cap)
 
     monkeypatch.setattr(lpbound, "_max_clique_with_zero", spy)
     for n in (1, 2, 3):
         # the cache's own function, so the search runs even when cached
         assert lpbound._max_code_impl.__wrapped__(n, INF) == max_code(n, INF)
-        assert seen.pop() == _explicit_orbits(n)
+        orbits, blocks, cap = seen.pop()
+        assert orbits == _explicit_orbits(n)
+        # the five first-symbol runs, capped by the code one length down
+        run = 5 ** (n - 1)
+        assert blocks == [sum(1 << v for v in range(a * run, (a + 1) * run)) for a in range(5)]
+        assert cap == (max_code(n - 1, INF)[0] if n > 1 else 1)
     assert len(set(_explicit_orbits(3))) == 10  # the sorted triples over {0, 1, 2}
 
 
