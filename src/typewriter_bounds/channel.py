@@ -10,7 +10,10 @@ can produce it ("received minus sent is 0 or 1 (mod 5)"), and each trial
 ANDs one packed row per coordinate.  Raw Philox words are drawn in a fixed
 per-trial layout, which makes results independent of batch size, and a
 trial compares the sent word's rank among the plausible ones with the tie
-pick, so it never lists the candidates.
+pick, so it never lists the candidates.  A short code has few (message,
+noise pattern) pairs, m 2^n for m words of length n; when they fit in one
+batch and number no more than the trials, each pair is decoded once into a
+table of ranks and counts, and a trial only looks its pair up.
 """
 
 from __future__ import annotations
@@ -60,6 +63,38 @@ def _plausible_table(code: np.ndarray) -> np.ndarray:
     return np.packbits(fits, axis=-1, bitorder="little")
 
 
+def _rank_and_count(table: np.ndarray, columns: np.ndarray, msg: np.ndarray, noise: np.ndarray):
+    """For each (message, noise) pair, the number of codewords that can
+    produce the received word, and the sent word's rank among them in code
+    order: the bitset decoder behind monte_carlo_pe.
+
+    msg holds message indices (intp) and noise the noise bits, bit c for
+    coordinate c.  Memory is at most about 4 ceil(m/8) + 128 bytes a pair.
+    """
+    b = len(msg)
+    rows = np.empty((b, table.shape[2]), dtype=np.uint8)
+    rows[:] = np.packbits(np.ones(columns.shape[1], dtype=bool), bitorder="little")
+    scratch = np.empty_like(rows)
+    one = np.uint64(1)
+    # the codewords that can produce each received word, one table lookup
+    # per coordinate, so no b x n or b x m array is built
+    for c in range(len(columns)):
+        received = columns[c][msg] + (noise >> np.uint64(c) & one)
+        np.take(table[c], received, axis=0, mode="wrap", out=scratch)
+        rows &= scratch
+        del received
+    # the rank step below is the memory peak; hold no lookup buffer through it
+    del scratch
+    # rank of msg among the plausible words: whole bytes below its byte,
+    # then the bits below it within that byte
+    pop = _POPCOUNT[rows]
+    count = pop.sum(axis=1)
+    byte = msg >> 3
+    low = rows[np.arange(b), byte] & ((1 << (msg & 7)) - 1)
+    pop *= np.arange(rows.shape[1]) < byte[:, None]
+    return pop.sum(axis=1) + _POPCOUNT[low], count
+
+
 @dataclass(frozen=True)
 class SimResult:
     trials: int
@@ -91,6 +126,13 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
     code order.  Memory is at most about 4 ceil(m/8) + 128 bytes per trial of
     a batch, whatever the length n, and a batch is cut to the trials whose
     bound fits in 16 MiB.
+
+    When m 2^n is at most both the (cut) batch and the trials, the decoder
+    runs once on all m 2^n (message, noise pattern) pairs instead: a rank
+    and a count per pair, 16 bytes each, at most one batch's worth and no
+    more than the trials would have decoded.  Trial t then errs when
+    rank[key] != tie mod count[key], key = (message << n) | (noise bits
+    mod 2^n), which is the same decision, so the error count is unchanged.
     """
     codearr = _symbols(code, "code")
     if codearr.ndim != 2 or codearr.shape[0] == 0:
@@ -109,39 +151,26 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
         raise ValueError(f"seed {seed} is outside [0, 2^128)")
     batch = min(batch, max(1, _BATCH_BYTES // (4 * math.ceil(m / 8) + 128)))
     table = _plausible_table(codearr)
-    full_row = np.packbits(np.ones(m, dtype=bool), bitorder="little")
     columns = codearr.T.astype(np.uint64)
     bitgen = np.random.Philox(key=seed)
-    one = np.uint64(1)
+    decode_once = m << n <= min(batch, trials)
+    if decode_once:
+        patterns = np.arange(1 << n, dtype=np.uint64)
+        rank, count = _rank_and_count(table, columns, np.arange(m).repeat(1 << n), np.tile(patterns, m))
+        low_bits = patterns[-1]
     errors = 0
     done = 0
     while done < trials:
         b = min(batch, trials - done)
         raw = bitgen.random_raw(_WORDS_PER_TRIAL * b).reshape(b, _WORDS_PER_TRIAL)
-        msg = (raw[:, 0] % np.uint64(m)).astype(np.intp)
-        noise = raw[:, 1]
-        # the codewords that can produce each received word, one table
-        # lookup per coordinate, so no b x n or b x m array is built
-        rows = np.empty((b, table.shape[2]), dtype=np.uint8)
-        rows[:] = full_row
-        scratch = np.empty_like(rows)
-        for c in range(n):
-            received = columns[c][msg] + (noise >> np.uint64(c) & one)
-            np.take(table[c], received, axis=0, mode="wrap", out=scratch)
-            rows &= scratch
-            del received
-        # the rank step below is the batch's memory peak; hold no lookup
-        # buffer through it
-        del scratch
-        # rank of msg among the plausible words: whole bytes below its byte,
-        # then the bits below it within that byte
-        pop = _POPCOUNT[rows]
-        count = pop.sum(axis=1)
-        byte = msg >> 3
-        low = rows[np.arange(b), byte] & ((1 << (msg & 7)) - 1)
-        pop *= np.arange(rows.shape[1]) < byte[:, None]
-        rank = pop.sum(axis=1) + _POPCOUNT[low]
-        errors += int(np.count_nonzero(rank != raw[:, 2] % count))
+        msg = raw[:, 0] % np.uint64(m)
+        if decode_once:
+            key = (msg << np.uint64(n) | raw[:, 1] & low_bits).astype(np.intp)
+            errs = rank[key] != raw[:, 2] % count[key]
+        else:
+            rank_b, count_b = _rank_and_count(table, columns, msg.astype(np.intp), raw[:, 1])
+            errs = rank_b != raw[:, 2] % count_b
+        errors += int(np.count_nonzero(errs))
         done += b
     p = errors / trials
     ci = 1.96 * math.sqrt(p * (1.0 - p) / trials)

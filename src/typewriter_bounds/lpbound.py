@@ -391,7 +391,11 @@ def max_code(n: int, d):
     word.  Word 0 is first in the scan order, and a sorted code that holds
     it precedes every sorted code that does not, so the lex-first maximum
     code holds word 0.  The search therefore fixes word 0 and branches only
-    over its compatible neighbours, which returns the same witness.
+    over its compatible neighbours, which returns the same witness.  The
+    same fact builds the graph: each d thresholds one table per length, the
+    weight of every word (one word_distance to word 0 each) read at the
+    index of each difference w_j - w_i.  That table and the root orbits
+    below are cached per n and shared by every d.
 
     The search then runs two passes over one bitset graph.  A greedy
     colouring of a node's candidates into classes of pairwise incompatible
@@ -418,11 +422,13 @@ def max_code(n: int, d):
     two of them are exactly as far apart as their suffixes, since equal
     first symbols add 0 to the distance.  So a code meets each block in at
     most max_code(n - 1, d) words (1 at n = 1), and has at most 5 times
-    that many.  The size pass stops as soon as it finds a code of that
-    size: at (3, 2) the first 50-word code ends it.  The witness pass only
-    adds words above the lowest word v of its candidates, so it prunes a
-    node whose chosen words plus the room left in v's block plus the cap of
-    each later block fall short of the size.
+    that many.  The witness pass only adds words above the lowest word v of
+    its candidates, so it prunes a node whose chosen words plus the room
+    left in v's block plus the cap of each later block fall short of the
+    size.  It runs first with the cap, 5 max_code(n - 1, d), as its target:
+    a code of that size is maximum, and the first one met is the lex-first
+    one, so at (2, 2) and (3, 2) this pass alone returns the answer.  Only
+    when it finds none do the size pass and a second witness pass run.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -433,28 +439,46 @@ def max_code(n: int, d):
 
 
 @functools.lru_cache(maxsize=None)
-def _max_code_impl(n: int, d):
+def _length_tables(n: int) -> tuple:
+    """The words of Z_5^n in base-5 order, the typewriter weight of each,
+    the index of each difference w_j - w_i at [i, j], and each word's root
+    orbit as a bitset, built once per length and shared by every d.
+
+    Each weight is one word_distance to the zero word, and the distance of
+    w_i and w_j is the weight at their difference, so no pair is measured.
+    """
     words = list(itertools.product(range(5), repeat=n))
-    nv = len(words)
-    adj = [0] * nv
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            dist = word_distance(words[i], words[j])
-            compatible = dist == INF if d == INF else dist >= d
-            if compatible:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    weights = np.array([word_distance(w, (0,) * n) for w in words])
+    digits = np.array(words, dtype=np.intp).reshape(len(words), n)
+    diff = (digits[None, :, :] - digits[:, None, :]) % 5 @ 5 ** np.arange(n - 1, -1, -1)
+    weights.setflags(write=False)
+    diff.setflags(write=False)
     # root orbits, as in max_code: words with one sorted tuple of min(a, 5 - a)
     keys = [tuple(sorted(min(a, 5 - a) for a in w)) for w in words]
     orbit_of_key: dict[tuple, int] = {}
     for v, key in enumerate(keys):
         orbit_of_key[key] = orbit_of_key.get(key, 0) | 1 << v
+    return tuple(words), weights, diff, tuple(orbit_of_key[key] for key in keys)
+
+
+def _compatibility_rows(n: int, d) -> list:
+    """adj[i]: the bitset of the words at distance >= d from word i (at
+    infinity when d is inf), thresholded from the length's difference table."""
+    _, weights, diff, _ = _length_tables(n)
+    compatible = weights == INF if d == INF else weights >= d
+    packed = np.packbits(compatible[diff], axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+@functools.lru_cache(maxsize=None)
+def _max_code_impl(n: int, d):
+    words, _, _, orbits = _length_tables(n)
     # first-symbol blocks, capped by the cached search one length down (not
     # max_code, so a traced run records one span per search)
     run = 5 ** (n - 1)
     blocks = [((1 << run) - 1) << (run * a) for a in range(5)]
     cap = _max_code_impl(n - 1, _normalize_d(n - 1, d))[0] if n > 1 else 1
-    size, clique = _max_clique_with_zero(adj, [orbit_of_key[key] for key in keys], blocks, cap)
+    size, clique = _max_clique_with_zero(_compatibility_rows(n, d), list(orbits), blocks, cap)
     return size, tuple(words[v] for v in clique)
 
 
@@ -466,8 +490,9 @@ def _max_clique_with_zero(adj: list, orbits: list, blocks=None, cap=None) -> tup
     fix vertex 0 (just 1 << v when none is known).  blocks are bitsets of
     contiguous runs of vertices, in order, that partition them, and no
     clique meets a block more than cap times; without them one block holds
-    every vertex and nothing is pruned.  The size pass and the witness pass
-    are those described in max_code.
+    every vertex and nothing is pruned.  The cap-first witness pass, and
+    the size pass and witness pass after it, are those described in
+    max_code.
     """
     universe = (1 << len(adj)) - 1
     if blocks is None:
@@ -497,29 +522,23 @@ def _max_clique_with_zero(adj: list, orbits: list, blocks=None, cap=None) -> tup
 
     best = 0
 
-    def grow(pool: int, depth: int) -> bool:
-        """True once a clique meets the block cap, which ends the pass."""
+    def grow(pool: int, depth: int) -> None:
         nonlocal best
-        if depth > best:
-            best = depth
-            if best == limit:
-                return True
+        best = max(best, depth)
         classes = colour_classes(pool)
         for k in range(len(classes), 0, -1):
             cls = classes[k - 1]
             while cls:
                 if depth + k <= best:
-                    return False
+                    return
                 low = cls & -cls
                 cls ^= low
                 if not pool & low:
                     continue  # an orbit-mate of a root branch already searched
-                if grow(pool & adj_by_bit[low], depth + 1):
-                    return True
+                grow(pool & adj_by_bit[low], depth + 1)
                 # at the root, every clique through 0 and an orbit-mate of low
                 # maps onto one through 0 and low, which is now searched
                 pool &= ~(orbit_by_bit[low] if depth == 1 else low)
-        return False
 
     taken = [0] * len(blocks)  # chosen vertices per block
 
@@ -545,10 +564,16 @@ def _max_clique_with_zero(adj: list, orbits: list, blocks=None, cap=None) -> tup
             taken[b] -= 1
         return False
 
-    grow(adj[0], 1)
     chosen = [1]
     taken[block_by_bit[1]] = 1
-    scan(chosen, adj[0], 1)
+    # a clique that meets the block cap is maximum, so the witness pass
+    # aims at the cap first; only when no clique meets it does the size
+    # pass find the size for a second witness pass
+    best = limit
+    if not scan(chosen, adj[0], 1):
+        best = 0
+        grow(adj[0], 1)
+        scan(chosen, adj[0], 1)
     return best, [b.bit_length() - 1 for b in chosen]
 
 

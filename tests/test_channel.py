@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from typewriter_bounds import channel
 from typewriter_bounds.channel import SimResult, confusion_prob, monte_carlo_pe
 from typewriter_bounds.construction import StructuredGenerator, code_from_generator
 from typewriter_bounds.lpbound import max_code
@@ -89,6 +90,39 @@ def test_monte_carlo_matches_the_replay_across_byte_boundaries(m, n, seed, batch
     # m up to 130 crosses the 8-, 64- and 128-word edges of the packed rows
     code = [tuple(w) for w in np.random.default_rng(seed).integers(0, 5, size=(m, n)).tolist()]
     assert monte_carlo_pe(code, 25, seed, batch=batch).errors == _replayed_errors(code, 25, seed)
+
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(
+    m=st.integers(1, 40),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+    trials_off=st.integers(-2, 2),
+    batch_off=st.integers(-2, 2),
+)
+def test_decoding_each_pair_once_matches_decoding_each_trial(m, n, seed, trials_off, batch_off):
+    # the m 2^n (message, noise pattern) pairs are decoded once when they
+    # number at most min(batch, trials); a batch one short of them forces
+    # the per-trial decoder
+    code = np.random.default_rng(seed).integers(0, 5, size=(m, n))
+    pairs = m << n
+    trials, batch = max(1, pairs + trials_off), max(1, pairs + batch_off)
+    decoded = []
+    decode = channel._rank_and_count
+
+    def spy(table, columns, msg, noise):
+        decoded.append(len(msg))
+        return decode(table, columns, msg, noise)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channel, "_rank_and_count", spy)
+        errors = monte_carlo_pe(code, trials, seed, batch=batch).errors
+        once = pairs <= min(batch, trials)
+        assert decoded[0] == (pairs if once else min(batch, trials)), (pairs, trials, batch)
+        decoded.clear()
+        assert monte_carlo_pe(code, trials, seed, batch=pairs - 1).errors == errors
+        assert pairs not in decoded
 
 
 def test_monte_carlo_memory_cap():

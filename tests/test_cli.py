@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import typewriter_bounds
 from typewriter_bounds import __version__
 from typewriter_bounds.cli import main
 from typewriter_bounds.construction import read_code_file
@@ -301,12 +302,18 @@ def test_missing_subcommand_is_a_usage_error():
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def _perfbench_module(monkeypatch, name):
+    """A benchmark module, loaded read-only with perfbench/ on the path."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_readme_commands_match_the_benchmark_goldens(tmp_path, monkeypatch, capsys):
     # the benchmark's own argument lists, loaded read-only
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
+    run = _perfbench_module(monkeypatch, "run")
     seed = 0
     jobs = run.paper_cli_jobs(seed)
     goldens = json.loads((PERFBENCH / "goldens.json").read_text())["paper_cli"]
@@ -325,3 +332,22 @@ def test_readme_commands_match_the_benchmark_goldens(tmp_path, monkeypatch, caps
             assert hashlib.sha256(out).hexdigest() == golden["stdout"], sub
         for name, digest in golden.get("files", {}).items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_codes_jobs_run_without_raising_and_match_the_benchmark_checks(monkeypatch):
+    # the benchmark counts a job that raises as failed, so every codes job of
+    # seeds 1-10 runs through the worker's own runners, in process; the
+    # brute-force spectrum costs 0.3 s a job, so only seed 1's three shapes
+    # are checked against it
+    run = _perfbench_module(monkeypatch, "run")
+    worker = _perfbench_module(monkeypatch, "worker")
+    goldens = json.loads((PERFBENCH / "goldens.json").read_text())["max_code"]
+    for seed in range(1, 11):
+        for job in run.codes_jobs(seed):
+            out = worker.RUNNERS[job["kind"]](job, typewriter_bounds)["out"]
+            if job["kind"] == "search":
+                golden = goldens[f"{job['n']},{job['d']}"]
+                assert (out["size"], out["words"]) == (golden["size"], golden["words"]), (seed, job)
+            elif job["kind"] == "spectrum" and seed == 1:
+                counts = {int(w): c for w, c in out["counts"].items() if c}
+                assert counts == run.checks.reference_spectrum(job["generator"][2]), (seed, job)

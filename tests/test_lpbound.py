@@ -245,6 +245,47 @@ def test_verify_certificate_rejects_a_doctored_distance():
     assert verify_certificate(solve_distance_lp(3, INF)).ok
 
 
+
+def _with_lam(sol, lam):
+    """sol with multipliers lam, and its Lambda and objective to match."""
+    values = _kraw_table(sol.n) @ np.array(lam)
+    return dataclasses.replace(sol, lam=tuple(lam), Lambda=tuple(values), objective=float(values[0]))
+
+
+def test_verify_certificate_catches_a_support_violation_of_1e_6():
+    # lam_1 up by 1e-4 lifts f above 0 on the weight-3 words of (4, 2) by
+    # 1.6e-6 of its scale; the transform stays >= 0 and the bound matches
+    sol = solve_distance_lp(4, 2)
+    rep = verify_certificate(_with_lam(sol, (sol.lam[0], sol.lam[1] + 1e-4) + sol.lam[2:]))
+    scale = float(np.abs(_cube_certificate(sol)[0].real).max())
+    assert 1e-6 < rep.support_violation / scale < 1e-5, rep.detail
+    assert rep.transform_minimum >= -1e-12
+    assert rep.bound == pytest.approx(lovasz_bound(4) * (sol.objective + 1e-4 * 4 * (QPRIME - 1.0)), rel=1e-12)
+    assert rep.ok is False
+
+
+def test_verify_certificate_catches_a_transform_dip_of_1e_6():
+    # at d = inf only non-confusable words are checked, where f is 0, so a
+    # lam_1 of -1e-6 fails on the transform alone: f_hat dips to -1e-6 of
+    # its largest magnitude
+    sol = _with_lam(solve_distance_lp(3, INF), (1.0, -1e-6, 0.0, 0.0))
+    rep = verify_certificate(sol)
+    f, _ = _cube_certificate(sol)
+    fhat = _apply_axes(f, lpbound._HALF_DFT).real
+    assert rep.transform_minimum / max(fhat.max(), -fhat.min()) == pytest.approx(-1e-6, rel=1e-6)
+    assert rep.support_violation == 0.0
+    assert rep.bound == pytest.approx(lovasz_bound(3) * sol.objective, rel=1e-12)
+    assert rep.ok is False
+
+
+def test_verify_certificate_catches_an_objective_off_by_1e_4():
+    sol = solve_distance_lp(4, 2)
+    assert verify_certificate(sol).ok
+    rep = verify_certificate(dataclasses.replace(sol, objective=sol.objective * (1.0 + 1e-4)))
+    assert rep.support_violation <= 1e-12 and rep.transform_minimum >= -1e-12
+    assert rep.ok is False
+
+
 def _dense_certificate(sol):
     """The dense construction on all 5^n words, as the reference.
 
@@ -423,6 +464,10 @@ def test_certificates_off_sqrt5_are_refused(tmp_path):
     path.write_text(text.replace("qprime 2.2360679774997898", "qprime 2.1099162641747427"))
     with pytest.raises(ValueError, match=r"qprime 2\.1099162641747427 is not sqrt 5"):
         load_certificate(path)
+    # a qprime one millionth off is refused as well
+    path.write_text(text.replace("qprime 2.2360679774997898", f"qprime {QPRIME + 1e-6!r}"))
+    with pytest.raises(ValueError, match=r"qprime 2\.23606897749979 is not sqrt 5"):
+        load_certificate(path)
 
 
 @pytest.mark.parametrize(
@@ -546,23 +591,53 @@ def _largest_clique(adj, vertices):
     density=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
     slack=st.integers(0, 1),
+    plant=st.booleans(),
 )
-def test_block_cap_keeps_the_lex_first_clique(nv, density, seed, slack):
+def test_block_cap_keeps_the_lex_first_clique(nv, density, seed, slack, plant):
     # contiguous blocks, each capped by the largest clique inside any of
-    # them (plus slack, since any upper bound is a valid cap)
+    # them (plus slack, since any upper bound is a valid cap).  A planted
+    # graph has a clique through 0 with k words in every block and no other
+    # edge inside a block, so with no slack its clique meets the cap and the
+    # cap-first witness pass returns it; otherwise that pass finds none and
+    # the size pass and a second witness pass run
     rng = np.random.default_rng(seed)
-    adj = [0] * nv
-    for u, v in itertools.combinations(range(nv), 2):
-        if rng.random() < density:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
     cuts = [0, *sorted(rng.choice(np.arange(1, nv), size=rng.integers(0, nv), replace=False)), nv]
     runs = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    block_of = {v: b for b, run in enumerate(runs) for v in run}
+    planted = set()
+    if plant:
+        k = int(rng.integers(1, min(map(len, runs)) + 1))
+        planted = {0, *(int(v) for v in rng.choice(runs[0][1:], size=k - 1, replace=False))}
+        for run in runs[1:]:
+            planted |= {int(v) for v in rng.choice(run, size=k, replace=False)}
+    adj = [0] * nv
+    for u, v in itertools.combinations(range(nv), 2):
+        if plant and block_of[u] == block_of[v]:
+            edge = u in planted and v in planted
+        else:
+            edge = u in planted and v in planted or rng.random() < density
+        if edge:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
     blocks = [sum(1 << v for v in run) for run in runs]
     cap = max(_largest_clique(adj, run) for run in runs) + slack
     singletons = [1 << v for v in range(nv)]
     got = _max_clique_with_zero(adj, singletons, blocks, cap)
     assert got == _lex_first_clique_brute_force(adj)
+    if plant and not slack:
+        assert got[0] == cap * len(blocks) == len(planted)
+
+
+def test_compatibility_rows_are_the_word_distance_thresholds():
+    for n in (1, 2, 3):
+        words = list(itertools.product(range(5), repeat=n))
+        for d in (1, 2, 3, INF):
+            want = [
+                sum(1 << j for j, y in enumerate(words)
+                    if i != j and (word_distance(x, y) == INF if d == INF else word_distance(x, y) >= d))
+                for i, x in enumerate(words)
+            ]
+            assert lpbound._compatibility_rows(n, d) == want, (n, d)
 
 
 def _root_maps(n):

@@ -2,8 +2,8 @@
 
     python3 tools/bench_ab.py --parent HEAD~1 --out BENCH.json
 
-The parent revision is checked out with `git worktree` in a temporary
-directory (under --tmp when given), which is removed on exit.  For each
+The parent revision's committed files are unpacked by `git archive` into a
+temporary directory (under --tmp when given), which is removed on exit.  For each
 workload of BENCHMARK.json and each seed 1..10 the two trees run their own
 `perfbench/run.py --workload W --seed S --seconds T --trace 0`, with T the
 run_seconds of BENCHMARK.json, one after the other: odd seeds run the
@@ -13,10 +13,12 @@ is edited; run.py writes its scratch files under each tree's .bench_work/.
 The output file holds, per workload and side, the median, quartiles and
 IQR of each end-to-end metric of BENCHMARK.json over the seeds, and per seed and
 side the passes, attempted and failed counts, failed per pass, and each
-failed job with the number of passes it failed in.  A job is named by its
-failure reason up to the first colon, which run.py starts with the (n, d)
-pair, job kind or subcommand.  Every job that fails on one side only, at
-any seed, is listed under one_side_failures.  A summary goes to stdout.
+failure reason with the number of times a pass gave it (two jobs that fail
+with the same reason count 2).  A reason that one side gives and the other
+does not, at any seed, is listed under one_side_failures.  The failure
+share, sum of failed over sum of attempted, is given per workload and side
+and pooled over all workloads, with a flag where the change's share is above
+the parent's.  A summary goes to stdout.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def run_bench(tree: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{argv} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
     report, final = json.loads(lines[-2]), json.loads(lines[-1])
-    jobs = Counter(reason.split(":")[0] for reason in report["failures"])
+    reasons = Counter(report["failures"])
     env = dict(report["environment"])
     return {
         "metrics": {key: final["metrics"][key]["value"] for key in METRICS},
@@ -61,9 +63,9 @@ def run_bench(tree: Path, workload: str, seed: int) -> dict:
         "attempted": final["attempted"],
         "failed": final["failed"],
         "failed_per_pass": final["failed"] / report["passes"],
-        # job -> passes it failed in; equal to passes for every job when
-        # each pass fails the same set
-        "failed_jobs": dict(sorted(jobs.items())),
+        # full failure reason -> times a pass gave it; a whole number for
+        # every reason when each pass fails the same set
+        "failed_jobs": {reason: count / report["passes"] for reason, count in sorted(reasons.items())},
         "wrong_outputs": report.get("wrong_outputs", []),
         "git_commit": env.pop("git_commit"),
         "environment": env,
@@ -73,6 +75,12 @@ def run_bench(tree: Path, workload: str, seed: int) -> dict:
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
+
+
+def failure_share(runs: list[dict], side: str) -> dict:
+    failed = sum(run[side]["failed"] for run in runs)
+    attempted = sum(run[side]["attempted"] for run in runs)
+    return {"failed": failed, "attempted": attempted, "share": failed / attempted}
 
 
 def compare(runs: list[dict]) -> dict:
@@ -85,8 +93,18 @@ def compare(runs: list[dict]) -> dict:
                      for side, jobs in (("parent", parent - change), ("change", change - parent))
                      for job in sorted(jobs)]
     wins = sum(run["change"]["metrics"]["wall_s"] < run["parent"]["metrics"]["wall_s"] for run in runs)
+    same = [run["seed"] for run in runs if run["parent"]["failed_jobs"] == run["change"]["failed_jobs"]]
     return {"sides": sides, "wall_s_pairs_won_by_change": wins, "pairs": len(runs),
+            "failure_share": {side: failure_share(runs, side) for side in ("parent", "change")},
+            "seeds_with_equal_failures_per_pass": same,
             "one_side_failures": one_side, "runs": runs}
+
+
+def share_line(label: str, shares: dict) -> str:
+    p, c = shares["parent"], shares["change"]
+    flag = "  FLAG: change share above parent" if c["share"] > p["share"] else ""
+    return (f"  {label} failure share: parent {p['failed']}/{p['attempted']} = {p['share']:.4f}, "
+            f"change {c['failed']}/{c['attempted']} = {c['share']:.4f}{flag}")
 
 
 def summary(workload: str, result: dict) -> list[str]:
@@ -100,7 +118,10 @@ def summary(workload: str, result: dict) -> list[str]:
         correct = all(run[side]["correct"] for run in result["runs"])
         lines.append(f"  {side}: correct {correct}; failed/attempted/passes per seed "
                      + " ".join(f"{f}/{a}/{p}" for f, a, p in counts))
-    lines.append(f"  jobs failing on one side only: {len(result['one_side_failures'])}")
+    lines.append(share_line(workload, result["failure_share"]))
+    lines.append(f"  seeds where both sides fail the same reasons per pass: "
+                 f"{len(result['seeds_with_equal_failures_per_pass'])} of {result['pairs']}")
+    lines.append(f"  failures on one side only: {len(result['one_side_failures'])}")
     return lines
 
 
@@ -108,7 +129,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="revision to compare this checkout against")
     p.add_argument("--out", required=True, type=Path, help="JSON file to write")
-    p.add_argument("--tmp", type=Path, default=None, help="directory for the parent worktree")
+    p.add_argument("--tmp", type=Path, default=None, help="directory for the parent's files")
     args = p.parse_args(argv)
 
     parent_commit = git("rev-parse", args.parent)
@@ -126,7 +147,9 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="bench_ab_", dir=args.tmp))
     parent_tree = tmp / "parent"
     try:
-        git("worktree", "add", "--detach", str(parent_tree), parent_commit)
+        parent_tree.mkdir()
+        archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True, capture_output=True)
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive.stdout, check=True)
         trees = {"parent": parent_tree, "change": ROOT}
         for workload in WORKLOADS:
             runs = []
@@ -141,11 +164,13 @@ def main(argv=None) -> int:
                 runs.append(run)
             record["workloads"][workload] = compare(runs)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(parent_tree)], cwd=ROOT,
-                       capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+    results = record["workloads"].values()
+    record["pooled_failure_share"] = {
+        side: failure_share([run for result in results for run in result["runs"]], side)
+        for side in ("parent", "change")}
     lines = [line for name, result in record["workloads"].items() for line in summary(name, result)]
+    lines.append(share_line("pooled", record["pooled_failure_share"]).strip())
     record["summary"] = lines
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print("\n".join(lines))
