@@ -156,7 +156,8 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
     decode_once = m << n <= min(batch, trials)
     if decode_once:
         patterns = np.arange(1 << n, dtype=np.uint64)
-        rank, count = _rank_and_count(table, columns, np.arange(m).repeat(1 << n), np.tile(patterns, m))
+        messages = np.arange(m).repeat(1 << n)
+        rank, count = _rank_and_count(table, columns, messages, np.tile(patterns, m))
         low_bits = patterns[-1]
     errors = 0
     done = 0

@@ -92,7 +92,6 @@ def test_monte_carlo_matches_the_replay_across_byte_boundaries(m, n, seed, batch
     assert monte_carlo_pe(code, 25, seed, batch=batch).errors == _replayed_errors(code, 25, seed)
 
 
-
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(
     m=st.integers(1, 40),

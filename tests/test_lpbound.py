@@ -245,11 +245,12 @@ def test_verify_certificate_rejects_a_doctored_distance():
     assert verify_certificate(solve_distance_lp(3, INF)).ok
 
 
-
 def _with_lam(sol, lam):
     """sol with multipliers lam, and its Lambda and objective to match."""
     values = _kraw_table(sol.n) @ np.array(lam)
-    return dataclasses.replace(sol, lam=tuple(lam), Lambda=tuple(values), objective=float(values[0]))
+    return dataclasses.replace(
+        sol, lam=tuple(lam), Lambda=tuple(values), objective=float(values[0])
+    )
 
 
 def test_verify_certificate_catches_a_support_violation_of_1e_6():
@@ -260,7 +261,9 @@ def test_verify_certificate_catches_a_support_violation_of_1e_6():
     scale = float(np.abs(_cube_certificate(sol)[0].real).max())
     assert 1e-6 < rep.support_violation / scale < 1e-5, rep.detail
     assert rep.transform_minimum >= -1e-12
-    assert rep.bound == pytest.approx(lovasz_bound(4) * (sol.objective + 1e-4 * 4 * (QPRIME - 1.0)), rel=1e-12)
+    # Lambda(0) grows by 1e-4 K_1(0) = 1e-4 * 4 (q' - 1)
+    objective = sol.objective + 1e-4 * 4 * (QPRIME - 1.0)
+    assert rep.bound == pytest.approx(lovasz_bound(4) * objective, rel=1e-12)
     assert rep.ok is False
 
 
@@ -632,11 +635,11 @@ def test_compatibility_rows_are_the_word_distance_thresholds():
     for n in (1, 2, 3):
         words = list(itertools.product(range(5), repeat=n))
         for d in (1, 2, 3, INF):
-            want = [
-                sum(1 << j for j, y in enumerate(words)
-                    if i != j and (word_distance(x, y) == INF if d == INF else word_distance(x, y) >= d))
-                for i, x in enumerate(words)
-            ]
+            def compatible(x, y):
+                dist = word_distance(x, y)
+                return x != y and (dist == INF if d == INF else dist >= d)
+
+            want = [sum(1 << j for j, y in enumerate(words) if compatible(x, y)) for x in words]
             assert lpbound._compatibility_rows(n, d) == want, (n, d)
 
 
