@@ -15,7 +15,6 @@ from .construction import (
     Spectrum,
     StructuredGenerator,
     hamming_spectrum,
-    structured_weight,
     union_bound,
     weight_spectrum,
 )
@@ -48,7 +47,7 @@ from .lpbound import (
     solve_distance_lp,
     verify_certificate,
 )
-from .scalars import INF, QPRIME, krawtchouk, qary_entropy, word_distance, word_weight
+from .scalars import INF, QPRIME, krawtchouk, qary_entropy, word_distance
 from .verification import run_suite
 
 __all__ = [
@@ -72,8 +71,6 @@ __all__ = [
     "ex_exponent_inf",
     "q_form",
     "word_distance",
-    "word_weight",
-    "structured_weight",
     "StructuredGenerator",
     "Spectrum",
     "weight_spectrum",

@@ -3,13 +3,12 @@
 Distances and weights are those of the typewriter metric in `scalars`.
 Codes are built from a stacked generator [[I, 2I], [0, G]]: the top rows
 span n copies of the two-letter zero-error kernel {(u, 2u)}, and an inner
-generator G over Z5 selects which shifted copies appear.  Coordinate i of the codeword
-(u1, 2 u1 + nu) weighs w(u1_i) + w(2 u1_i + nu_i), one entry of a 5 x 5
-table, so a weight never materialises the length-2n word.  As u1_i runs
-over Z5, a coordinate with nu_i = 0 has finite weight only once, weight 0,
-and one with nu_i != 0 has weight 1 once and weight 2 once, so the exact
-spectrum is the inner code's Hamming enumerator with z^h replaced by
-z^h (1 + z)^h.
+generator G over Z5 selects which shifted copies appear.  Coordinate i of
+the codeword (u1, 2 u1 + nu) weighs w(u1_i) + w(2 u1_i + nu_i).  As u1_i
+runs over Z5, a coordinate with nu_i = 0 has finite weight only once,
+weight 0, and one with nu_i != 0 has weight 1 once and weight 2 once, so
+the exact spectrum is the inner code's Hamming enumerator with z^h
+replaced by z^h (1 + z)^h, and no length-2n word is materialised.
 """
 
 from __future__ import annotations
@@ -19,10 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scalars import _SYMBOL_WEIGHT, INF
-
 __all__ = [
-    "structured_weight",
     "StructuredGenerator",
     "Spectrum",
     "weight_spectrum",
@@ -47,30 +43,6 @@ def _symbols(values, what: str) -> np.ndarray:
     if arr.dtype.kind not in "iu" and arr.size:
         raise ValueError(f"{what} symbols must be integers, got dtype {arr.dtype}")
     return (arr % 5).astype(np.int8)
-
-
-# per-coordinate weight of (u1, 2 u1 + nu): _CONTRIB[a, v] = w(a) + w(2a + v),
-# with any infinite sum clipped to a large sentinel
-_INF_SENTINEL = 10**9
-_CONTRIB = np.minimum(
-    np.take(_SYMBOL_WEIGHT, np.arange(5)[:, None])
-    + np.take(_SYMBOL_WEIGHT, (2 * np.arange(5)[:, None] + np.arange(5)) % 5),
-    _INF_SENTINEL,
-).astype(np.int64)
-
-
-def structured_weight(u1, nu) -> int | float:
-    """Weight of the codeword (u1, 2*u1 + nu) from per-coordinate contributions.
-
-    Coordinate i contributes w(u1_i) + w(2 u1_i + nu_i), read from one
-    5 x 5 table; the length-2n word itself is never built.
-    """
-    if len(u1) != len(nu):
-        raise ValueError("length mismatch")
-    a = _symbols(u1, "u1")
-    v = _symbols(nu, "nu")
-    total = int(_CONTRIB[a, v].sum())
-    return total if total < _INF_SENTINEL else INF
 
 
 @dataclass(frozen=True)

@@ -482,21 +482,19 @@ def _max_code_impl(n: int, d):
     return size, tuple(words[v] for v in clique)
 
 
-def _max_clique_with_zero(adj: list, orbits: list, blocks=None, cap=None) -> tuple:
+def _max_clique_with_zero(adj: list, orbits: list, blocks: list, cap: int) -> tuple:
     """Size and ascending vertices of the lex-first maximum clique through 0.
 
     adj[v] is the bitset of the neighbours of v (symmetric, no loops), and
     orbits[v] the bitset of v's orbit under automorphisms of the graph that
     fix vertex 0 (just 1 << v when none is known).  blocks are bitsets of
     contiguous runs of vertices, in order, that partition them, and no
-    clique meets a block more than cap times; without them one block holds
-    every vertex and nothing is pruned.  The cap-first witness pass, and
-    the size pass and witness pass after it, are those described in
+    clique meets a block more than cap times; one block of every vertex,
+    capped by their number, prunes nothing.  The cap-first witness pass,
+    and the size pass and witness pass after it, are those described in
     max_code.
     """
     universe = (1 << len(adj)) - 1
-    if blocks is None:
-        blocks, cap = [universe], len(adj)
     # bitsets are keyed by their lowest set bit so the hot loops never need
     # an index extraction; single-bit ints hash cheaply
     adj_by_bit = {1 << v: row for v, row in enumerate(adj)}

@@ -19,7 +19,6 @@ __all__ = [
     "QPRIME",
     "INF",
     "word_distance",
-    "word_weight",
     "qary_entropy",
     "log2_binomial",
     "bisect_root",
@@ -61,11 +60,6 @@ def word_distance(x, y) -> int | float:
             return INF
         d += s
     return d
-
-
-def word_weight(x) -> int | float:
-    """Distance from the all-zero word."""
-    return word_distance(x, (0,) * len(x))
 
 
 def qary_entropy(t: float, q: float) -> float:

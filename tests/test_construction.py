@@ -15,12 +15,11 @@ from typewriter_bounds.construction import (
     code_from_generator,
     hamming_spectrum,
     read_code_file,
-    structured_weight,
     union_bound,
     weight_spectrum,
     write_code_file,
 )
-from typewriter_bounds.scalars import INF, word_distance, word_weight
+from typewriter_bounds.scalars import INF, word_distance
 
 
 def test_symbol_and_word_distance():
@@ -32,18 +31,9 @@ def test_symbol_and_word_distance():
     assert word_distance((0, 1), (1, 1)) == 1
     assert word_distance((0, 1), (1, 2)) == 2
     assert word_distance((0, 0), (2, 0)) == INF
-    assert word_weight((1, 4, 0)) == 2
+    assert word_distance((1, 4, 0), (0, 0, 0)) == 2
     with pytest.raises(ValueError):
         word_distance((0,), (0, 0))
-
-
-def test_structured_weight_matches_direct_weight_exhaustively():
-    for n in (1, 2):
-        words = list(itertools.product(range(5), repeat=n))
-        for u1 in words:
-            for nu in words:
-                full = u1 + tuple((2 * a + v) % 5 for a, v in zip(u1, nu))
-                assert structured_weight(u1, nu) == word_weight(full)
 
 
 def test_structured_generator_matrix_layout():
@@ -127,7 +117,8 @@ def _generators(draw):
 def test_code_from_generator_matches_spectrum(gen):
     code = code_from_generator(gen)
     assert code.shape == (gen.message_count, 2 * gen.n)
-    weights = Counter(word_weight(tuple(w)) for w in code.tolist())
+    zero = (0,) * (2 * gen.n)
+    weights = Counter(word_distance(w, zero) for w in code.tolist())
     spec = weight_spectrum(gen)
     want = Counter(spec.counts) + Counter({INF: spec.infinite_count})
     assert weights == want, (gen.n, gen.k, gen.inner.tolist())
@@ -148,7 +139,6 @@ def test_caller_symbols_are_reduced_in_their_own_type(tmp_path):
     big = np.array([[2**64 - 1, 6]], dtype=np.uint64)
     gen = StructuredGenerator(2, 1, big)
     assert gen.inner.tolist() == [[0, 1]] and gen.inner.dtype == np.int64
-    assert structured_weight(big[0], (0, 3)) == 1
     assert hamming_spectrum(big).counts == {0: 1, 1: 4}
     path = tmp_path / "code.txt"
     write_code_file(path, big)
@@ -158,8 +148,6 @@ def test_caller_symbols_are_reduced_in_their_own_type(tmp_path):
             StructuredGenerator(2, 1, bad)
         with pytest.raises(ValueError, match="symbols must be integers"):
             write_code_file(path, bad)
-        with pytest.raises(ValueError, match="symbols must be integers"):
-            structured_weight(bad[0], (0, 0))
         with pytest.raises(ValueError, match="symbols must be integers"):
             hamming_spectrum(bad)
 

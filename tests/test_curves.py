@@ -144,6 +144,29 @@ def test_e_gv_star_branches():
         assert e_gv_star(r) == e_rex(r)
 
 
+def test_upper_curves_dominate_lower_curves_on_the_whole_window():
+    # every curve decreases, so on a cell [a, b] an upper curve is at least
+    # its value at b and a lower curve at most its value at a: upper(b) >=
+    # lower(a) on each cell orders the curves on the whole cell
+    def cell_margin(uppers, lo, hi, cells=200):
+        grid = [lo + (hi - lo) * i / cells for i in range(cells)] + [hi]
+        up = [min(f(r) for f in uppers) for r in grid]
+        low = [max(e_rex(r), e_gv_star(r)) for r in grid]
+        for values in (up, low):
+            assert all(x >= y for x, y in zip(values, values[1:]))
+        return min(u - v for u, v in zip(up[1:], low))
+
+    rs = r_star()
+    assert cell_margin((e_sl, e_sl_star, e_lp1), C0, rs) > 0.0
+    assert cell_margin((e_lp1,), rs, C) > 0.0
+    # past r_star both lower curves are the line e_rex, and e_sl and
+    # e_sl_star are lines that meet it at C, so the differences are linear
+    # there and their two ends bound them
+    for f in (e_sl, e_sl_star):
+        assert f(rs) - e_rex(rs) > 0.0
+        assert f(C) - e_rex(C) == 0.0
+
+
 def test_gv_delta_anchors():
     assert gv_delta(0.0) == pytest.approx(0.8, abs=1e-9)
     assert gv_delta(0.5) < gv_delta(0.1) < 0.8

@@ -37,7 +37,7 @@ from typewriter_bounds.lpbound import (
     solve_distance_lp,
     verify_certificate,
 )
-from typewriter_bounds.scalars import INF, QPRIME, bisect_root, krawtchouk, word_distance, word_weight
+from typewriter_bounds.scalars import INF, QPRIME, bisect_root, krawtchouk, word_distance
 
 
 def test_qprime_is_sqrt5_to_rounding():
@@ -231,7 +231,7 @@ def test_support_violation_matches_brute_force():
                 want = max(
                     fr[x]
                     for x in itertools.product(range(5), repeat=n)
-                    if word_weight(x) >= d
+                    if word_distance(x, (0,) * n) >= d
                 )
                 got = verify_certificate(dataclasses.replace(sol, d=float(d)))
                 assert got.support_violation == want, (n, d_lp, d)
@@ -577,7 +577,8 @@ def test_max_clique_with_zero_matches_brute_force(nv, density, seed):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
     singletons = [1 << v for v in range(nv)]
-    assert _max_clique_with_zero(adj, singletons) == _lex_first_clique_brute_force(adj)
+    got = _max_clique_with_zero(adj, singletons, [(1 << nv) - 1], nv)
+    assert got == _lex_first_clique_brute_force(adj)
 
 
 def _largest_clique(adj, vertices):
@@ -722,7 +723,9 @@ def _orbit_pruning_agrees(n, pick):
     connection = {w for v, w in enumerate(words) if union >> v & 1}
     adj = _cayley_graph(n, connection)
     singletons = [1 << v for v in range(len(words))]
-    assert _max_clique_with_zero(adj, orbits) == _max_clique_with_zero(adj, singletons)
+    blocks, cap = [(1 << len(words)) - 1], len(words)
+    got = _max_clique_with_zero(adj, orbits, blocks, cap)
+    assert got == _max_clique_with_zero(adj, singletons, blocks, cap)
 
 
 @settings(deadline=None, max_examples=100, derandomize=True)
