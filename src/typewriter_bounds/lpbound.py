@@ -150,19 +150,32 @@ def _scan_grid() -> tuple:
 
 
 _GRID = _scan_grid()
+# the eigenvalue decides a bisection midpoint, with no evaluation, only when
+# the midpoint is farther than this from it; every margin from 1e-4 down to
+# 1e-11 gives the same 2080 roots (n <= 64), and the smallest skips the most
+_ROOT_MARGIN = 1e-11
 
 
+@functools.lru_cache(maxsize=None)
 def first_root(n: int, ell: int) -> float:
-    """Smallest positive zero of u -> K_ell(u), bracketed on a 0.05 grid.
+    """Smallest positive zero of u -> K_ell(u), bisected on a 0.05 grid cell.
 
-    The grid is that of a scan from u = 0 in steps of += 0.05.  The smallest
-    eigenvalue r of the ell x ell Jacobi matrix of the three-term recurrence
-    (Golub and Welsch, 1969) picks the bracket: the grid neighbours next to
-    r with K_ell > 0 on the left and not > 0 on the right.  K_ell(0) > 0 and
-    the zeros of a polynomial orthogonal on the lattice 0..n are more than 1
-    apart, so this is the scan's first sign change.  The root is the right
-    end on an exact 0, else bisect_root on the bracket, unchanged: the
-    eigenvalue decides only the bracket, so every bit is the scan's.
+    The grid is that of a scan from u = 0 in steps of += 0.05, and the
+    result is bit for bit that of the scan followed by bisect_root on its
+    first sign change.  The smallest eigenvalue r of the ell x ell Jacobi
+    matrix of the three-term recurrence (Golub and Welsch, 1969) is that
+    zero to far better than the grid step.  When r lies more than
+    _ROOT_MARGIN inside a grid cell, that cell is the bracket, and the
+    bisection's halvings are replayed without evaluating K_ell: each
+    midpoint more than _ROOT_MARGIN from r goes the way r says.
+    bisect_root finishes the narrowed bracket, and its sign check at the two
+    ends catches a wrong eigenvalue: on its ValueError, or when r is near a
+    grid point, the bracket is found by walking the grid from r instead (the
+    neighbours with K_ell > 0 on the left and not > 0 on the right; K_ell(0)
+    > 0 and the zeros of a polynomial orthogonal on the lattice 0..n are more
+    than 1 apart, so this is the scan's first sign change), and the root is
+    the right end on an exact 0, else bisect_root on the whole cell.  Results
+    are memoised per (n, ell): at most 2080 of them.
     """
     if ell < 1:
         raise ValueError("K_0 has no root")
@@ -178,6 +191,27 @@ def first_root(n: int, ell: int) -> float:
     f = lambda u: krawtchouk(n, ell, u)
     last = bisect.bisect_right(_GRID, n + 0.05) - 1
     k = min(max(bisect.bisect_left(_GRID, r), 1), last)
+    lo, hi = _GRID[k - 1], _GRID[k]
+    if lo + _ROOT_MARGIN < r < hi - _ROOT_MARGIN:
+        # r stays strictly inside the bracket, so a midpoint is within the
+        # margin of it by the time the bracket is 2 margins wide, long before
+        # bisect_root's own tolerance would stop the halving
+        while abs((mid := 0.5 * (lo + hi)) - r) > _ROOT_MARGIN:
+            if mid < r:
+                lo = mid
+            else:
+                hi = mid
+        try:
+            return bisect_root(f, lo, hi)
+        except ValueError:
+            pass
+    return _walk_to_root(n, ell, f, k, last)
+
+
+def _walk_to_root(n: int, ell: int, f, k: int, last: int) -> float:
+    """first_root's fallback: the first sign change of f = K_ell on the grid,
+    walked to from cell k; its right end on an exact 0, else bisect_root on
+    the whole cell."""
     while k > 1 and not f(_GRID[k - 1]) > 0.0:
         k -= 1
     while (v := f(_GRID[k])) > 0.0:

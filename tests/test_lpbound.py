@@ -114,11 +114,25 @@ def _scan_first_root(n, ell):
     raise ArithmeticError(f"no sign change found for K_{ell} on [0, {n}]")
 
 
-def test_first_root_matches_the_scan_bit_for_bit():
-    # every degree mrrw_params visits: the eigenvalue only picks the bracket
-    for n in range(1, 65):
-        for ell in range(1, min(n, n // 2 + 2) + 1):
-            assert first_root(n, ell) == _scan_first_root(n, ell), (n, ell)
+@pytest.fixture(scope="module")
+def cold_roots():
+    """first_root on its whole domain, n <= 64 and 1 <= ell <= n, computed
+    with the memo cleared, and the number of krawtchouk calls it made."""
+    calls = []
+    first_root.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpbound, "krawtchouk", lambda *args: calls.append(args) or krawtchouk(*args))
+        roots = {(n, ell): first_root(n, ell) for n in range(1, 65) for ell in range(1, n + 1)}
+    return roots, len(calls)
+
+
+def test_first_root_matches_the_scan_bit_for_bit(cold_roots):
+    # the whole finite domain: every halving the eigenvalue decides without
+    # an evaluation goes the way the float sign of K_ell would have sent it
+    roots, _ = cold_roots
+    assert len(roots) == 2080
+    for (n, ell), root in roots.items():
+        assert root == _scan_first_root(n, ell), (n, ell)
     for n in (1, 10, 64):
         for ell in (0, n + 1):
             with pytest.raises(ValueError):
@@ -129,13 +143,38 @@ def test_first_root_matches_the_scan_bit_for_bit():
 
 @pytest.mark.parametrize("shift", [-0.2, 0.2])
 def test_first_root_walks_to_the_bracket_from_a_shifted_eigenvalue(monkeypatch, shift):
-    # zeros are more than 1 apart, so an eigenvalue 0.2 off still meets the
-    # same bracket, from the left or from the right
+    # a bracket narrowed around an eigenvalue 0.2 off holds no sign change,
+    # so every root falls back to the walk; zeros are more than 1 apart, so
+    # the walk still meets the same bracket, from the left or from the right
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + shift)
-    for n in (1, 10, 33, 64):
-        for ell in range(1, min(n, n // 2 + 2) + 1):
+    walks = []
+    walk = lpbound._walk_to_root
+    monkeypatch.setattr(lpbound, "_walk_to_root", lambda *args: walks.append(args[:2]) or walk(*args))
+    # the memo would answer without ever seeing the shifted eigenvalue
+    first_root.cache_clear()
+    try:
+        pairs = [(n, ell) for n in (1, 10, 33, 64) for ell in range(1, min(n, n // 2 + 2) + 1)]
+        for n, ell in pairs:
             assert first_root(n, ell) == _scan_first_root(n, ell), (n, ell)
+        assert walks == pairs
+    finally:
+        first_root.cache_clear()
+
+
+def test_first_root_evaluates_few_krawtchouk_values(cold_roots, monkeypatch):
+    # the eigenvalue decides all but the last few halvings: 9.2 evaluations
+    # per root over the whole domain, against 39.7 when the whole grid cell
+    # is bisected
+    roots, calls = cold_roots
+    assert calls <= 12 * len(roots)
+    # and the memo answers a repeated (n, ell) with no evaluation
+    repeat = []
+    monkeypatch.setattr(lpbound, "krawtchouk", lambda *args: repeat.append(args) or krawtchouk(*args))
+    first_root.cache_clear()
+    assert first_root(64, 33) == first_root(64, 33) == roots[64, 33]
+    assert 0 < len(repeat) <= 12
+    assert first_root.cache_info().hits == 1
 
 
 def test_mrrw_certificate_frozen_parameters():
