@@ -1,9 +1,10 @@
 """Per-layer timings of the certify path at fixed work, in one process.
 
-    python3 tools/bench_layers.py [--tree PATH] [--repeat K]
+    python3 tools/bench_layers.py [--tree PATH]
 
 The package is imported from PATH/src (default: this checkout), so a
-`git archive` of another revision unpacked at PATH is timed the same way.
+`git archive` of another revision unpacked at PATH is timed the same way;
+the tool stops if the package it imports lies anywhere else.
 The benchmark's reference loop (perfbench/pace.py), certify job list
 (perfbench/run.py) and certify runner (perfbench/worker.py) are loaded
 read-only from this checkout's perfbench/, so both trees run the same jobs
@@ -16,7 +17,7 @@ every run, outside the timed region:
   lp_10_3, lp_28_3 solve_distance_lp at (10, 3) and (28, 3), table warm
   certify_seed1    the benchmark's 36 certify jobs of seed 1, caches cleared
 
-Each case runs K times, alternating with the reference loop, and each run is
+Each case runs REPEATS times, alternating with the reference loop, and each run is
 scaled to reference seconds by the loop's pace on its two sides, as the
 benchmark scales its jobs.  One line per case goes to stdout: minimum and
 median reference seconds, median measured seconds, and the sha256 of the
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import statistics
 import sys
@@ -37,13 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-
-
-def load_perfbench(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+REPEATS = 7
 
 
 def clear(*functions) -> None:
@@ -81,9 +75,9 @@ def cases(tb, run, worker) -> dict:
     }
 
 
-def time_case(prepare, body, repeat: int, pace) -> dict:
+def time_case(prepare, body, pace) -> dict:
     paces, seconds, digests = [pace.ref_loop()], [], set()
-    for _ in range(repeat):
+    for _ in range(REPEATS):
         prepare()
         t0 = time.perf_counter()
         out = body()
@@ -100,18 +94,18 @@ def time_case(prepare, body, repeat: int, pace) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--tree", type=Path, default=ROOT, help="checkout whose src/ is timed")
-    p.add_argument("--repeat", type=int, default=7, help="runs per case")
     args = p.parse_args(argv)
-    if args.repeat < 1:
-        p.error("--repeat must be at least 1")
 
-    sys.path.insert(0, str(args.tree.resolve() / "src"))
-    sys.path.insert(0, str(PERFBENCH))  # worker.py imports pace and tracing
+    src = args.tree.resolve() / "src"
+    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(PERFBENCH))
     import typewriter_bounds as tb
+    import pace, run, worker
 
-    pace, run, worker = (load_perfbench(name) for name in ("pace", "run", "worker"))
+    if src not in Path(tb.__file__).resolve().parents:
+        sys.exit(f"typewriter_bounds was imported from {tb.__file__}, not from {src}")
     for name, (prepare, body) in cases(tb, run, worker).items():
-        result = time_case(prepare, body, args.repeat, pace)
+        result = time_case(prepare, body, pace)
         print(f"{name:14s} ref min {result['ref_min_s']:.4f} s  median {result['ref_median_s']:.4f} s  "
               f"(measured {result['median_s']:.4f} s)  sha256 {result['sha256']}", flush=True)
     return 0
