@@ -15,7 +15,6 @@ bound's q = 5 Lovasz factor bounds nothing at any other q'.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -26,7 +25,7 @@ import numpy as np
 from .curves import _fmt
 from .fourier import _COS, _Q, _SIZE_GUARD, GroupFunction, _check_size, lovasz_bound
 from .scalars import (
-    _MAX_KRAWTCHOUK_N, _POWERS, INF, QPRIME, _krawtchouk_row, bisect_root, krawtchouk, word_distance
+    _MAX_KRAWTCHOUK_N, _POWERS, INF, QPRIME, _krawtchouk_row, krawtchouk, word_distance
 )
 from .simplex import simplex_solve
 
@@ -140,42 +139,12 @@ def composite_bound(n: int, d) -> float:
     return lovasz_bound(n) * sol.objective
 
 
-def _scan_grid() -> tuple:
-    """u = 0, 0.05, 0.10, ... accumulated by += 0.05, up to 64.05."""
-    grid = [0.0]
-    top = _MAX_KRAWTCHOUK_N + 0.05
-    while grid[-1] + 0.05 <= top:
-        grid.append(grid[-1] + 0.05)
-    return tuple(grid)
-
-
-_GRID = _scan_grid()
-# the eigenvalue decides a bisection midpoint, with no evaluation, only when
-# the midpoint is farther than this from it; every margin from 1e-4 down to
-# 1e-11 gives the same 2080 roots (n <= 64), and the smallest skips the most
-_ROOT_MARGIN = 1e-11
-
-
-@functools.lru_cache(maxsize=None)
 def first_root(n: int, ell: int) -> float:
-    """Smallest positive zero of u -> K_ell(u), bisected on a 0.05 grid cell.
-
-    The grid is that of a scan from u = 0 in steps of += 0.05, and the
-    result is bit for bit that of the scan followed by bisect_root on its
-    first sign change.  The smallest eigenvalue r of the ell x ell Jacobi
-    matrix of the three-term recurrence (Golub and Welsch, 1969) is that
-    zero to far better than the grid step.  When r lies more than
-    _ROOT_MARGIN inside a grid cell, that cell is the bracket, and the
-    bisection's halvings are replayed without evaluating K_ell: each
-    midpoint more than _ROOT_MARGIN from r goes the way r says.
-    bisect_root finishes the narrowed bracket, and its sign check at the two
-    ends catches a wrong eigenvalue: on its ValueError, or when r is near a
-    grid point, the bracket is found by walking the grid from r instead (the
-    neighbours with K_ell > 0 on the left and not > 0 on the right; K_ell(0)
-    > 0 and the zeros of a polynomial orthogonal on the lattice 0..n are more
-    than 1 apart, so this is the scan's first sign change), and the root is
-    the right end on an exact 0, else bisect_root on the whole cell.  Results
-    are memoised per (n, ell): at most 2080 of them.
+    """Smallest zero of u -> K_ell(u): the smallest eigenvalue of the
+    ell x ell Jacobi matrix of the three-term recurrence (Golub and Welsch,
+    1969), one eigvalsh of at most 64 x 64.  Roots fall strictly with ell;
+    tests/test_lpbound.py decides the sign of K_ell exactly in Q(sqrt 5) on
+    either side of them.
     """
     if ell < 1:
         raise ValueError("K_0 has no root")
@@ -187,40 +156,7 @@ def first_root(n: int, ell: int) -> float:
     diagonal = ((QPRIME - 1.0) * (n - levels) + levels) / QPRIME
     off = np.sqrt(levels[1:] * (QPRIME - 1.0) * (n - levels[:-1])) / QPRIME
     jacobi = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
-    r = float(np.linalg.eigvalsh(jacobi)[0])
-    f = lambda u: krawtchouk(n, ell, u)
-    last = bisect.bisect_right(_GRID, n + 0.05) - 1
-    k = min(max(bisect.bisect_left(_GRID, r), 1), last)
-    lo, hi = _GRID[k - 1], _GRID[k]
-    if lo + _ROOT_MARGIN < r < hi - _ROOT_MARGIN:
-        # r stays strictly inside the bracket, so a midpoint is within the
-        # margin of it by the time the bracket is 2 margins wide, long before
-        # bisect_root's own tolerance would stop the halving
-        while abs((mid := 0.5 * (lo + hi)) - r) > _ROOT_MARGIN:
-            if mid < r:
-                lo = mid
-            else:
-                hi = mid
-        try:
-            return bisect_root(f, lo, hi)
-        except ValueError:
-            pass
-    return _walk_to_root(n, ell, f, k, last)
-
-
-def _walk_to_root(n: int, ell: int, f, k: int, last: int) -> float:
-    """first_root's fallback: the first sign change of f = K_ell on the grid,
-    walked to from cell k; its right end on an exact 0, else bisect_root on
-    the whole cell."""
-    while k > 1 and not f(_GRID[k - 1]) > 0.0:
-        k -= 1
-    while (v := f(_GRID[k])) > 0.0:
-        k += 1
-        if k > last:
-            raise ArithmeticError(f"no sign change found for K_{ell} on [0, {n}]")
-    if v == 0.0:
-        return _GRID[k]
-    return bisect_root(f, _GRID[k - 1], _GRID[k])
+    return float(np.linalg.eigvalsh(jacobi)[0])
 
 
 def mrrw_certificate(n: int, d: int, t: int, a: float) -> LPSolution:
@@ -262,34 +198,31 @@ def mrrw_certificate(n: int, d: int, t: int, a: float) -> LPSolution:
 
 
 def mrrw_params(n: int, d: int):
-    """Search (t, a) giving a valid Christoffel-Darboux certificate.
-
-    a sits just below min(first_root(K_t), d) and must stay above the first
-    root of K_{t+1} so both boundary Krawtchouk values keep their signs.
-    Returns (t, a, objective) with the smallest objective among valid
-    choices, or None when no degree works.
+    """The Christoffel-Darboux certificate of McEliece, Rodemich, Rumsey
+    and Welch (1977): a = d - 1e-6 and the degree t whose first roots
+    bracket it, first_root(n, t + 1) < a < first_root(n, t), so that K_t(a)
+    and K_{t+1}(a) keep their signs.  Roots fall with t, so at most one t
+    in 1..min(n - 1, n // 2 + 1) qualifies.  Returns (t, a, objective), or
+    None when no degree there brackets a (whenever d is above the first
+    root of K_1, about 0.553 n, and at d = 1 for most n >= 29), lam_0 is
+    not positive, or a lam_ell is below -1e-9 max lam.
     """
-    best = None
+    a = d - 1e-6
     root_next = first_root(n, 1)
-    for t in range(1, n // 2 + 2):
-        root_t = root_next
-        try:
-            root_next = first_root(n, t + 1)
-        except (ArithmeticError, ValueError):
+    for t in range(1, min(n, n // 2 + 2)):
+        root_t, root_next = root_next, first_root(n, t + 1)
+        if root_next < a < root_t:
             break
-        a = min(root_t, float(d)) - 1e-6
-        if a <= root_next or a <= 0.0:
-            continue
-        try:
-            sol = mrrw_certificate(n, d, t, a)
-        except ArithmeticError:
-            continue
-        lam = np.array(sol.lam)
-        if lam.min() < -1e-9 * lam.max():
-            continue
-        if best is None or sol.objective < best[2]:
-            best = (t, a, sol.objective)
-    return best
+    else:
+        return None
+    try:
+        sol = mrrw_certificate(n, d, t, a)
+    except ArithmeticError:
+        return None
+    lam = np.array(sol.lam)
+    if lam.min() < -1e-9 * lam.max():
+        return None
+    return t, a, sol.objective
 
 
 def _apply_axes(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -134,6 +134,26 @@ def test_lp_mrrw_multiplier(capsys):
     ]
 
 
+def test_lp_mrrw_falls_back_to_simplex_past_the_first_root_of_k1(capsys):
+    # d = 2 lies above the first root of K_1 at n = 2, 2 (1 - 1/sqrt 5) = 1.106,
+    # so no degree gives a multiplier and the simplex answers
+    assert main(["lp", "--n", "2", "--d", "2", "--mrrw", "--verify"]) == 0
+    captured = capsys.readouterr()
+    assert "no valid explicit multiplier; falling back to simplex" in captured.err
+    lines = captured.out.splitlines()
+    for line in ("status optimal", "composite 11.180339887498951", "verified true"):
+        assert line in lines
+
+
+def test_lp_refuses_a_simplex_answer_that_breaks_lambda_le_0(capsys):
+    # the one pair with n <= 64 whose simplex answer breaks Lambda <= 0 past
+    # d by more than rounding (see test_lpbound.py)
+    assert main(["lp", "--n", "58", "--d", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: simplex solution violates Lambda <= 0 by 6.630e-04" in captured.err
+
+
 def test_lp_verify_refuses_lengths_beyond_the_size_guard(capsys):
     assert main(["lp", "--n", "15", "--d", "3", "--verify"]) == 1
     captured = capsys.readouterr()

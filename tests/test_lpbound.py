@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from typewriter_bounds.lpbound import (
     solve_distance_lp,
     verify_certificate,
 )
-from typewriter_bounds.scalars import INF, QPRIME, bisect_root, krawtchouk, word_distance
+from typewriter_bounds.scalars import INF, QPRIME, krawtchouk, word_distance
 
 
 def test_qprime_is_sqrt5_to_rounding():
@@ -98,83 +99,58 @@ def test_first_root_of_degree_one():
     assert krawtchouk(10, 1, root) == pytest.approx(0.0, abs=1e-9)
 
 
-def _scan_first_root(n, ell):
-    """The former first_root: a 0.05-step scan from u = 0, then bisection."""
-    f = lambda u: krawtchouk(n, ell, u)
-    prev_u, prev_v = 0.0, f(0.0)
-    u = 0.05
-    while u <= n + 0.05:
-        v = f(u)
-        if v == 0.0:
-            return u
-        if (prev_v > 0.0) != (v > 0.0):
-            return bisect_root(f, prev_u, u)
-        prev_u, prev_v = u, v
-        u += 0.05
-    raise ArithmeticError(f"no sign change found for K_{ell} on [0, {n}]")
+def _kraw_sign(n, ell, u):
+    """The sign of K_ell(u) at q' = sqrt 5, exactly, for a Fraction u = p / D.
+
+    ell! D^ell K_ell(u) = sum_j (-1)^j C(ell, j) prod_{i<j} (p - i D)
+    prod_{i<ell-j} (n D - p - i D) (sqrt 5 - 1)^(ell-j) is A + B sqrt 5 with
+    integers A and B, and sqrt 5 is irrational, so its sign is decided by
+    the signs of A and B and, when they differ, by A^2 against 5 B^2.
+    """
+    p, D = u.numerator, u.denominator
+    powers = [(1, 0)]  # (sqrt 5 - 1)^m as (a, b) with a + b sqrt 5
+    for _ in range(ell):
+        a, b = powers[-1]
+        powers.append((5 * b - a, a - b))
+    left, right = [1], [1]
+    for i in range(ell):
+        left.append(left[-1] * (p - i * D))
+        right.append(right[-1] * (n * D - p - i * D))
+    A = B = 0
+    for j in range(ell + 1):
+        c = (-1) ** j * math.comb(ell, j) * left[j] * right[ell - j]
+        A += c * powers[ell - j][0]
+        B += c * powers[ell - j][1]
+    if A * B >= 0:
+        return (A > 0 or B > 0) - (A < 0 or B < 0)
+    return (A > 0) - (A < 0) if A * A > 5 * B * B else (B > 0) - (B < 0)
 
 
-@pytest.fixture(scope="module")
-def cold_roots():
-    """first_root on its whole domain, n <= 64 and 1 <= ell <= n, computed
-    with the memo cleared, and the number of krawtchouk calls it made."""
-    calls = []
-    first_root.cache_clear()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lpbound, "krawtchouk", lambda *args: calls.append(args) or krawtchouk(*args))
-        roots = {(n, ell): first_root(n, ell) for n in range(1, 65) for ell in range(1, n + 1)}
-    return roots, len(calls)
-
-
-def test_first_root_matches_the_scan_bit_for_bit(cold_roots):
-    # the whole finite domain: every halving the eigenvalue decides without
-    # an evaluation goes the way the float sign of K_ell would have sent it
-    roots, _ = cold_roots
-    assert len(roots) == 2080
-    for (n, ell), root in roots.items():
-        assert root == _scan_first_root(n, ell), (n, ell)
+def test_first_root_is_a_sign_change_of_k_ell_in_exact_arithmetic():
+    # the exact sign agrees with the float evaluator away from zeros
+    for n, ell in ((10, 3), (33, 17)):
+        for u in range(n + 1):
+            v = krawtchouk(n, ell, u)
+            if abs(v) > 1e-6 * krawtchouk(n, ell, 0):
+                assert _kraw_sign(n, ell, Fraction(u)) == (v > 0) - (v < 0), (n, ell, u)
+    # K_ell > 0 just left of the eigenvalue and < 0 just right of it, at
+    # every degree mrrw_params reaches; all 2080 pairs with n <= 64 hold
+    # too, a run CHANGES.md records
+    eps = Fraction(1, 10**12)
+    for n in range(1, 65):
+        for ell in range(1, min(n, n // 2 + 2) + 1):
+            r = Fraction(first_root(n, ell))
+            assert _kraw_sign(n, ell, r - eps) > 0 > _kraw_sign(n, ell, r + eps), (n, ell)
+    # roots fall strictly with the degree, so at most one degree brackets a
+    for n in range(1, 65):
+        roots = [first_root(n, ell) for ell in range(1, n + 1)]
+        assert all(hi > lo for hi, lo in zip(roots, roots[1:])), n
     for n in (1, 10, 64):
         for ell in (0, n + 1):
             with pytest.raises(ValueError):
                 first_root(n, ell)
     with pytest.raises(ValueError):
         first_root(65, 1)
-
-
-@pytest.mark.parametrize("shift", [-0.2, 0.2])
-def test_first_root_walks_to_the_bracket_from_a_shifted_eigenvalue(monkeypatch, shift):
-    # a bracket narrowed around an eigenvalue 0.2 off holds no sign change,
-    # so every root falls back to the walk; zeros are more than 1 apart, so
-    # the walk still meets the same bracket, from the left or from the right
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + shift)
-    walks = []
-    walk = lpbound._walk_to_root
-    monkeypatch.setattr(lpbound, "_walk_to_root", lambda *args: walks.append(args[:2]) or walk(*args))
-    # the memo would answer without ever seeing the shifted eigenvalue
-    first_root.cache_clear()
-    try:
-        pairs = [(n, ell) for n in (1, 10, 33, 64) for ell in range(1, min(n, n // 2 + 2) + 1)]
-        for n, ell in pairs:
-            assert first_root(n, ell) == _scan_first_root(n, ell), (n, ell)
-        assert walks == pairs
-    finally:
-        first_root.cache_clear()
-
-
-def test_first_root_evaluates_few_krawtchouk_values(cold_roots, monkeypatch):
-    # the eigenvalue decides all but the last few halvings: 9.2 evaluations
-    # per root over the whole domain, against 39.7 when the whole grid cell
-    # is bisected
-    roots, calls = cold_roots
-    assert calls <= 12 * len(roots)
-    # and the memo answers a repeated (n, ell) with no evaluation
-    repeat = []
-    monkeypatch.setattr(lpbound, "krawtchouk", lambda *args: repeat.append(args) or krawtchouk(*args))
-    first_root.cache_clear()
-    assert first_root(64, 33) == first_root(64, 33) == roots[64, 33]
-    assert 0 < len(repeat) <= 12
-    assert first_root.cache_info().hits == 1
 
 
 def test_mrrw_certificate_frozen_parameters():
@@ -197,6 +173,16 @@ def test_mrrw_certificate_frozen_parameters():
         assert cert.objective >= solve_distance_lp(n, d).objective
     # the top of the grid, exactly: the certificate path changes no bit
     assert mrrw_params(64, 20) == (7, 19.999999, 17620213990.234165)
+
+
+def test_mrrw_params_is_none_exactly_past_the_first_root_of_k1():
+    # a = d - 1e-6 lies between the first roots of two consecutive degrees
+    # only while d is below the first root of K_1, (1 - 1/sqrt 5) n; past it
+    # no degree brackets a, and no certificate is built
+    pairs = sorted({(n, math.ceil(k * n / 10)) for n in range(2, 21) for k in range(1, 6)})
+    none = [(n, d) for n, d in pairs if mrrw_params(n, d) is None]
+    assert none == [(n, d) for n, d in pairs if d > first_root(n, 1)]
+    assert none == [(3, 2), (5, 3), (7, 4), (9, 5)]
 
 
 def test_mrrw_certificate_refuses_a_nan_lam0():
@@ -227,6 +213,16 @@ def test_kraw_table_is_built_once_and_read_only():
             assert K[u, ell] == krawtchouk(n, ell, u), (n, u, ell)
     with pytest.raises(ValueError):
         _kraw_table(65)
+
+
+def test_lambda_slack_check_refuses_the_one_violating_simplex_answer():
+    # (58, 40) is the only pair with 1 <= d <= n <= 64 whose "optimal"
+    # simplex multipliers leave Lambda(u) = 6.63e-4 > 0 at some u >= d, with
+    # Lambda(0) = 9.77: 6.8e-5 of it, so the 1e-7 slack check refuses it
+    # and a check loosened to 1e-3 would print it as a bound
+    for call in (solve_distance_lp, composite_bound):
+        with pytest.raises(ArithmeticError, match=r"violates Lambda <= 0 by 6\.630e-04$"):
+            call(58, 40)
 
 
 def test_composite_bound_factorisation():
@@ -406,15 +402,17 @@ def _five_by_three_report(sol):
 
 def test_half_cube_transform_matches_the_full_one():
     # every certificate the benchmark's certify workload verifies: the LP and
-    # the explicit multiplier at n = 2..6, d = ceil(k n / 10), k = 1..5
+    # the explicit multiplier at n = 2..6, d = ceil(k n / 10), k = 1..5;
+    # (3, 2) and (5, 3) lie past the first root of K_1 and have no multiplier
     pairs = sorted({(n, math.ceil(k * n / 10)) for n in range(2, 7) for k in range(1, 6)})
     pairs.append((8, 3))
     sols = []
     for n, d in pairs:
         sols.append(solve_distance_lp(n, d))
-        t, a, _ = mrrw_params(n, d)
-        sols.append(mrrw_certificate(n, d, t, a))
-    assert len(sols) == 24 and all(sol.status in ("optimal", "certificate") for sol in sols)
+        if (params := mrrw_params(n, d)) is not None:
+            t, a, _ = params
+            sols.append(mrrw_certificate(n, d, t, a))
+    assert len(sols) == 22 and all(sol.status in ("optimal", "certificate") for sol in sols)
     # and, last, one the check rejects
     sols.append(dataclasses.replace(solve_distance_lp(4, 3), d=1.0))
     oks = []
@@ -426,7 +424,7 @@ def test_half_cube_transform_matches_the_full_one():
         assert rep.bound == bound, key
         assert abs(rep.transform_minimum - tmin) <= 1e-12 * hatscale, key
         oks.append(rep.ok)
-    assert oks == [True] * 24 + [False]
+    assert oks == [True] * 22 + [False]
 
 
 def test_a_failed_lp_has_no_certificate_to_check():

@@ -116,7 +116,9 @@ def _falling_binomial(u, j):
 
 
 def _scan_grid(top):
-    # the points first_root visits, accumulated exactly as it does
+    # u = 0, 0.05, 0.10, ... accumulated by += 0.05, so most carry rounding
+    # error, and 64 of them land a few ulps off an integer (1.0000000000000002,
+    # 2.9999999999999973, ...), where no integer shortcut may be taken
     grid, u = [0.0], 0.05
     while u <= top + 0.05:
         grid.append(u)

@@ -11,7 +11,7 @@ read-only from this checkout's perfbench/, so both trees run the same jobs
 against the same reference.  Cases, each with its caches cleared before
 every run, outside the timed region:
 
-  first_root       first_root(64, ell) for ell = 1..64, memo cleared
+  first_root       first_root(64, ell) for ell = 1..64, cold
   mrrw_params      mrrw_params(64, 20), Krawtchouk table and roots cold
   kraw_table       lpbound._kraw_table(64), cold
   lp_10_3, lp_28_3 solve_distance_lp at (10, 3) and (28, 3), table warm
@@ -41,8 +41,8 @@ REPEATS = 7
 
 
 def clear(*functions) -> None:
-    """Empty the memo of each function that has one; a revision whose
-    function has no memo has nothing to clear."""
+    """Empty the memo of each function that has one, so a revision that
+    memoises first_root is timed cold too; one without has nothing to clear."""
     for fn in functions:
         getattr(fn, "cache_clear", lambda: None)()
 
