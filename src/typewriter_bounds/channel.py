@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import _symbols
-from .curves import _fmt
 from .scalars import INF, word_distance
 
 __all__ = [
@@ -102,12 +101,6 @@ class SimResult:
     estimate: float
     ci95: float
     seed: int
-
-    def csv(self) -> str:
-        return (
-            "trials,errors,estimate,ci95,seed\n"
-            f"{self.trials},{self.errors},{_fmt(self.estimate)},{_fmt(self.ci95)},{self.seed}\n"
-        )
 
 
 def _integer_arg(value, name: str) -> int:

@@ -69,22 +69,22 @@ def _distance(s: str):
 
 
 def _stamp(command: str, **params) -> str:
-    parts = " ".join(f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in params.items())
+    parts = " ".join(f"{k}={_fmt(v)}" for k, v in params.items())
     return f"typewriter-bounds {__version__} {command} {parts}"
 
 
+def _write_table(path: str, stamp: str, header, rows) -> None:
+    """The stamped CSV of every table command: '# stamp', the header, then
+    one line per row with each cell through _fmt."""
+    lines = [f"# {stamp}", ",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    _write("\n".join(lines) + "\n", path)
+
+
 def _cmd_curves(args) -> int:
-    sampled = curves.sample_curves(args.rmin, args.rmax, args.samples)
-    stamp = _stamp("curves", rmin=args.rmin, rmax=args.rmax, samples=args.samples)
-    _write(curves.curves_csv(sampled, stamp), args.output)
-    return 0
-
-
-def _cmd_figure1(args) -> int:
-    lo, hi = curves.ZERO_ERROR_CAPACITY, curves.CAPACITY
-    sampled = curves.sample_curves(lo, hi, 161)
-    stamp = _stamp("figure1", rmin=lo, rmax=hi, samples=161)
-    _write(curves.curves_csv(sampled, stamp), args.output)
+    rows = curves.sample_curves(args.rmin, args.rmax, args.samples)
+    stamp = _stamp(args.command, rmin=args.rmin, rmax=args.rmax, samples=args.samples)
+    _write_table(args.output, stamp, ("R",) + curves.CURVE_COLUMNS, rows)
     if args.plot_script:
         _write(_PLOT_SCRIPT, args.plot_script)
     return 0
@@ -93,41 +93,34 @@ def _cmd_figure1(args) -> int:
 def _cmd_expurgated(args) -> int:
     if not math.isfinite(args.rho_min) or not math.isfinite(args.rho_max):
         raise ValueError(f"rho window [{args.rho_min}, {args.rho_max}] is not finite")
-    if args.samples < 2 or args.rho_max <= args.rho_min:
+    if args.rho_max <= args.rho_min:
         raise ValueError("need rho-max > rho-min and at least two samples")
-    stamp = _stamp(
-        "expurgated", rho_min=args.rho_min, rho_max=args.rho_max, samples=args.samples
-    )
     letters = [(a,) for a in range(5)]
-    lines = [f"# {stamp}", "rho,exponent_inf,min_eigenvalue,q_uniform"]
-    for i in range(args.samples):
-        rho = args.rho_min + (args.rho_max - args.rho_min) * i / (args.samples - 1)
-        row = (
+    rows = [
+        (
             rho,
             expurgated.ex_exponent_inf(rho),
             min(expurgated.circulant_eigenvalues(rho)),
             float(expurgated.q_form(rho, letters)),
         )
-        lines.append(",".join(_fmt(v) for v in row))
-    _write("\n".join(lines) + "\n", args.output)
+        for rho in curves._grid(args.rho_min, args.rho_max, args.samples)
+    ]
+    stamp = _stamp(
+        "expurgated", rho_min=args.rho_min, rho_max=args.rho_max, samples=args.samples
+    )
+    _write_table(args.output, stamp, ("rho", "exponent_inf", "min_eigenvalue", "q_uniform"), rows)
     return 0
 
 
 def _cmd_gv(args) -> int:
-    if args.samples < 2 or not 0.0 <= args.rmin < args.rmax < 1.0:
+    if not 0.0 <= args.rmin < args.rmax < 1.0:
         raise ValueError("need 0 <= rmin < rmax < 1 and at least two samples")
+    rows = [
+        (e.r, e.delta_gv, e.delta_star, e.tau_star, e.exponent)
+        for e in map(curves.optimize_exponent, curves._grid(args.rmin, args.rmax, args.samples))
+    ]
     stamp = _stamp("gv", rmin=args.rmin, rmax=args.rmax, samples=args.samples)
-    lines = [f"# {stamp}", "r,delta_gv,delta_star,tau_star,exponent"]
-    for i in range(args.samples):
-        r = args.rmin + (args.rmax - args.rmin) * i / (args.samples - 1)
-        res = curves.optimize_exponent(r)
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (res.r, res.delta_gv, res.delta_star, res.tau_star, res.exponent)
-            )
-        )
-    _write("\n".join(lines) + "\n", args.output)
+    _write_table(args.output, stamp, ("r", "delta_gv", "delta_star", "tau_star", "exponent"), rows)
     return 0
 
 
@@ -150,7 +143,7 @@ def _cmd_lp(args) -> int:
     out = [
         f"# {_stamp('lp', n=args.n, d=args.d, mrrw=args.mrrw)}",
         f"n {args.n}",
-        f"d {'inf' if args.d == math.inf else args.d}",
+        f"d {_fmt(args.d)}",
         f"qprime {_fmt(scalars.QPRIME)}",
         f"status {sol.status}",
         f"objective {_fmt(sol.objective)}",
@@ -169,12 +162,7 @@ def _cmd_lp(args) -> int:
 
 def _cmd_maxcode(args) -> int:
     size, words = lpbound.max_code(args.n, args.d)
-    stamp = _stamp(
-        "maxcode",
-        n=args.n,
-        d="inf" if args.d == math.inf else args.d,
-        size=size,
-    )
+    stamp = _stamp("maxcode", n=args.n, d=args.d, size=size)
     _write(construction._code_text(words, stamp), args.output)
     return 0
 
@@ -190,7 +178,8 @@ def _cmd_simulate(args) -> int:
         words=len(code),
         length=code.shape[1],
     )
-    _write(f"# {stamp}\n" + res.csv(), args.output)
+    row = (res.trials, res.errors, res.estimate, res.ci95, res.seed)
+    _write_table(args.output, stamp, ("trials", "errors", "estimate", "ci95", "seed"), [row])
     return 0
 
 
@@ -223,12 +212,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rmax", type=float, default=curves.CAPACITY)
     sp.add_argument("--samples", type=int, default=161)
     sp.add_argument("--output", default="-")
-    sp.set_defaults(func=_cmd_curves)
+    sp.set_defaults(func=_cmd_curves, plot_script=None)
 
     sp = sub.add_parser("figure1", help="fixed 161-sample curve table plus plot script")
     sp.add_argument("--output", default="-")
     sp.add_argument("--plot-script", default=None, help="write a matplotlib script here")
-    sp.set_defaults(func=_cmd_figure1)
+    sp.set_defaults(
+        func=_cmd_curves,
+        rmin=curves.ZERO_ERROR_CAPACITY,
+        rmax=curves.CAPACITY,
+        samples=161,
+    )
 
     sp = sub.add_parser("expurgated", help="expurgated-exponent quantities over rho")
     sp.add_argument("--rho-min", type=float, default=1.0)

@@ -40,9 +40,7 @@ __all__ = [
     "optimize_exponent",
     "r_lp1",
     "e_lp1",
-    "BoundCurve",
     "sample_curves",
-    "curves_csv",
     "CURVE_COLUMNS",
 ]
 
@@ -196,49 +194,26 @@ CURVE_COLUMNS = ("E_rex", "E_sl", "E_sl_star", "E_gv_star", "E_lp1")
 _CURVE_FUNCS = (e_rex, e_sl, e_sl_star, e_gv_star, e_lp1)
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    """One sampled bound curve: a name and (rate, exponent) points."""
+def _grid(lo: float, hi: float, samples: int) -> list[float]:
+    """samples equally spaced points lo + (hi - lo) i / (samples - 1)."""
+    if samples < 2:
+        raise ValueError("need at least two samples")
+    return [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
 
-    name: str
-    points: tuple[tuple[float, float], ...]
 
-
-def sample_curves(rmin: float, rmax: float, samples: int) -> list[BoundCurve]:
-    """Sample all five curves on an equally spaced rate grid."""
+def sample_curves(rmin: float, rmax: float, samples: int) -> list[tuple[float, ...]]:
+    """Rows (R, E_rex, E_sl, E_sl_star, E_gv_star, E_lp1) on an equally
+    spaced rate grid whose last rate is rmax exactly."""
     rmin = _check_rate(rmin, ZERO_ERROR_CAPACITY, CAPACITY)
     rmax = _check_rate(rmax, ZERO_ERROR_CAPACITY, CAPACITY)
     if rmax < rmin:
         raise ValueError(f"empty rate window [{rmin}, {rmax}]")
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    rates = [rmin + (rmax - rmin) * i / (samples - 1) for i in range(samples)]
+    rates = _grid(rmin, rmax, samples)
     rates[-1] = rmax
-    out = []
-    for name, func in zip(CURVE_COLUMNS, _CURVE_FUNCS):
-        out.append(BoundCurve(name, tuple((r, func(r)) for r in rates)))
-    return out
+    return [(r, *(func(r) for func in _CURVE_FUNCS)) for r in rates]
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits, enough to round-trip; inf, -inf and nan as is."""
-    return format(x, ".17g")
-
-
-def curves_csv(curves: list[BoundCurve], header_comment: str | None = None) -> str:
-    """Render sampled curves as CSV with columns R,E_rex,...,E_lp1."""
-    names = tuple(c.name for c in curves)
-    if names != CURVE_COLUMNS:
-        raise ValueError(f"expected curves {CURVE_COLUMNS}, got {names}")
-    rates = [p[0] for p in curves[0].points]
-    for c in curves[1:]:
-        if [p[0] for p in c.points] != rates:
-            raise ValueError("curves sampled on different rate grids")
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("R," + ",".join(CURVE_COLUMNS))
-    for i, r in enumerate(rates):
-        row = [_fmt(r)] + [_fmt(c.points[i][1]) for c in curves]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def _fmt(x) -> str:
+    """A float to 17 significant digits, enough to round-trip, with inf, -inf
+    and nan as is; anything else, such as an int or a str, by str."""
+    return format(x, ".17g") if isinstance(x, float) else str(x)

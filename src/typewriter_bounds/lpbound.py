@@ -25,7 +25,7 @@ import numpy as np
 from .curves import _fmt
 from .fourier import _COS, _Q, _SIZE_GUARD, GroupFunction, _check_size, lovasz_bound
 from .scalars import (
-    _MAX_KRAWTCHOUK_N, _POWERS, INF, QPRIME, _krawtchouk_row, krawtchouk, word_distance
+    _POWERS, INF, QPRIME, _check_length, _krawtchouk_row, krawtchouk, word_distance
 )
 from .simplex import simplex_solve
 
@@ -94,8 +94,7 @@ def _kraw_table(n: int) -> np.ndarray:
     shares the cached array, so it is read-only.  n > 64 is refused as
     krawtchouk refuses it, so the cache holds at most 64 tables (0.75 MB).
     """
-    if n < 0 or n > _MAX_KRAWTCHOUK_N:
-        raise ValueError(f"n={n} outside supported range [0, {_MAX_KRAWTCHOUK_N}]")
+    _check_length(n)
     K = np.array([_krawtchouk_row(n, u) for u in range(n + 1)])
     K.setflags(write=False)
     return K
@@ -150,8 +149,7 @@ def first_root(n: int, ell: int) -> float:
         raise ValueError("K_0 has no root")
     if ell > n:
         raise ValueError(f"degree {ell} outside [1, {n}]")
-    if n > _MAX_KRAWTCHOUK_N:
-        raise ValueError(f"n={n} outside supported range [0, {_MAX_KRAWTCHOUK_N}]")
+    _check_length(n)
     levels = np.arange(ell)
     diagonal = ((QPRIME - 1.0) * (n - levels) + levels) / QPRIME
     off = np.sqrt(levels[1:] * (QPRIME - 1.0) * (n - levels[:-1])) / QPRIME
@@ -547,7 +545,7 @@ def save_certificate(sol: LPSolution, path) -> None:
     lines = [
         "# distance LP certificate",
         f"n {sol.n}",
-        f"d {'inf' if sol.d == INF else int(sol.d)}",
+        f"d {_fmt(sol.d)}",
         f"qprime {_fmt(QPRIME)}",
         f"status {sol.status}",
         f"objective {_fmt(sol.objective)}",
@@ -577,7 +575,7 @@ def load_certificate(path) -> LPSolution:
         if key not in fields:
             raise ValueError(f"certificate has no {key} line")
     qprime = float(fields["qprime"])
-    if abs(qprime - QPRIME) > 1e-9:
+    if not abs(qprime - QPRIME) <= 1e-9:
         raise ValueError(f"certificate qprime {qprime} is not sqrt 5")
     n = int(fields["n"])
     if n < 1:

@@ -144,9 +144,13 @@ def _term_sum(ell: int, cu_row: list[float], cn_row: list[float]) -> float:
     )
 
 
-def _check_degree(n: int, ell: int) -> None:
+def _check_length(n: int) -> None:
     if n < 0 or n > _MAX_KRAWTCHOUK_N:
         raise ValueError(f"n={n} outside supported range [0, {_MAX_KRAWTCHOUK_N}]")
+
+
+def _check_degree(n: int, ell: int) -> None:
+    _check_length(n)
     if not 0 <= ell <= n:
         raise ValueError(f"degree {ell} outside [0, {n}]")
 

@@ -176,8 +176,8 @@ def test_criterion_11_figure_table_is_ordered_and_reproducible(tmp_path):
     assert cli.main(["figure1", "--output", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
 
-    sampled = curves.sample_curves(C0, C, 161)
-    table = {c.name: [p[1] for p in c.points] for c in sampled}
+    columns = list(zip(*curves.sample_curves(C0, C, 161)))
+    table = dict(zip(curves.CURVE_COLUMNS, columns[1:]))
     for name, vals in table.items():
         assert len(vals) == 161
         for a, b in zip(vals, vals[1:]):

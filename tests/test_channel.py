@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typewriter_bounds import channel
-from typewriter_bounds.channel import SimResult, confusion_prob, monte_carlo_pe
+from typewriter_bounds.channel import confusion_prob, monte_carlo_pe
+from typewriter_bounds.cli import main
 from typewriter_bounds.construction import StructuredGenerator, code_from_generator
 from typewriter_bounds.lpbound import max_code
 from typewriter_bounds.scalars import INF
@@ -176,16 +177,39 @@ def test_zero_error_code_never_errs():
     assert res.estimate == 0.0
 
 
-def test_sim_result_csv_roundtrip():
+def _simulate_table(tmp_path, words, trials, seed):
+    """The simulate command's stamped table for a code: its header and row."""
+    codefile = tmp_path / "code.txt"
+    codefile.write_text("".join("".join(map(str, w)) + "\n" for w in words))
+    out = tmp_path / "sim.csv"
+    args = ["simulate", "--code", str(codefile), "--trials", str(trials), "--seed", str(seed)]
+    assert main([*args, "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# typewriter-bounds ") and len(lines) == 3
+    return lines[1], lines[2].split(",")
+
+
+def test_sim_result_csv_roundtrip(tmp_path):
     res = monte_carlo_pe([(0, 0), (1, 1)], 5000, seed=1)
-    lines = res.csv().splitlines()
-    assert lines[0] == "trials,errors,estimate,ci95,seed"
-    trials, errors, estimate, ci95, seed = lines[1].split(",")
+    header, (trials, errors, estimate, ci95, seed) = _simulate_table(
+        tmp_path, [(0, 0), (1, 1)], 5000, 1
+    )
+    assert header == "trials,errors,estimate,ci95,seed"
     assert int(trials) == 5000
     assert int(errors) == res.errors
     assert float(estimate) == res.estimate
     assert float(ci95) == res.ci95
     assert int(seed) == 1
+
+
+def test_sim_result_fields_are_consistent(tmp_path):
+    # the integer cells are exact: the largest seed is printed in full
+    seed = (1 << 128) - 1
+    res = monte_carlo_pe([(0, 0, 0), (1, 1, 0)], 100, seed)
+    _, row = _simulate_table(tmp_path, [(0, 0, 0), (1, 1, 0)], 100, seed)
+    assert row[:2] == ["100", str(res.errors)]
+    assert [float(v) for v in row[2:4]] == [res.estimate, res.ci95]
+    assert row[4] == "340282366920938463463374607431768211455"
 
 
 def test_monte_carlo_input_validation():
@@ -223,8 +247,3 @@ def test_monte_carlo_takes_numpy_integers_and_the_largest_seed():
     pair = [(0, 0, 0), (1, 1, 0)]
     assert monte_carlo_pe(pair, np.int64(30000), np.uint8(3), batch=np.int32(1024)).errors == 3744
     assert monte_carlo_pe(pair, 10, (1 << 128) - 1).seed == (1 << 128) - 1
-
-
-def test_sim_result_fields_are_consistent():
-    res = SimResult(100, 10, 0.1, 0.05, 7)
-    assert [float(v) for v in res.csv().splitlines()[1].split(",")] == [100, 10, 0.1, 0.05, 7]

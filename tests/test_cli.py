@@ -56,6 +56,22 @@ def test_figure1_plot_script(tmp_path):
     compile(body, str(script), "exec")
 
 
+def test_figure1_takes_no_window_or_sample_flags():
+    # figure1 is curves at fixed arguments; they are parser defaults, not flags
+    for flag, value in (("--rmin", "1.2"), ("--rmax", "1.3"), ("--samples", "5")):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure1", flag, value])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["curves", "gv", "expurgated"])
+def test_sampled_tables_need_two_samples(command, capsys):
+    assert main([command, "--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least two samples\n"
+
+
 def test_expurgated_table(tmp_path):
     out = tmp_path / "ex.csv"
     assert main(["expurgated", "--samples", "5", "--output", str(out)]) == 0

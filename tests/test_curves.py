@@ -5,14 +5,14 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from typewriter_bounds import curves
+from typewriter_bounds import __version__, curves
+from typewriter_bounds.cli import main
 from typewriter_bounds.curves import (
     CAPACITY,
     CURVE_COLUMNS,
     GV_SLOPE,
     SL_STAR_FACTOR,
     ZERO_ERROR_CAPACITY,
-    curves_csv,
     delta_of_r,
     e_gv_star,
     e_lp1,
@@ -249,24 +249,31 @@ def test_r_lp1_refuses_delta_past_the_plotkin_point():
 
 
 def test_sample_curves_grid_and_validation():
-    sampled = sample_curves(C0, C, 5)
-    assert tuple(c.name for c in sampled) == CURVE_COLUMNS
-    rates = [p[0] for p in sampled[0].points]
-    assert len(rates) == 5
+    rows = sample_curves(C0, C, 5)
+    assert len(rows) == 5
+    assert all(len(row) == 1 + len(CURVE_COLUMNS) for row in rows)
+    rates = [row[0] for row in rows]
     assert rates[0] == C0 and rates[-1] == C
-    with pytest.raises(ValueError):
+    assert rates == [C0 + (C - C0) * i / 4 for i in range(4)] + [C]
+    for row in rows:
+        r = row[0]
+        assert row[1:] == (e_rex(r), e_sl(r), e_sl_star(r), e_gv_star(r), e_lp1(r))
+    with pytest.raises(ValueError, match="need at least two samples"):
         sample_curves(C0, C, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty rate window"):
         sample_curves(C, C0, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rate 0.5 outside"):
         sample_curves(0.5, C, 5)
 
 
-def test_curves_csv_layout():
-    sampled = sample_curves(C0, C, 3)
-    text = curves_csv(sampled, header_comment="params here")
+def test_curves_csv_layout(capsys):
+    assert main(["curves", "--samples", "3"]) == 0
+    text = capsys.readouterr().out
     lines = text.splitlines()
-    assert lines[0] == "# params here"
+    assert lines[0] == (
+        f"# typewriter-bounds {__version__} curves "
+        f"rmin={curves._fmt(C0)} rmax={curves._fmt(C)} samples=3"
+    )
     assert lines[1] == "R," + ",".join(CURVE_COLUMNS)
     assert len(lines) == 2 + 3
     assert text.endswith("\n")
@@ -274,9 +281,8 @@ def test_curves_csv_layout():
     assert len(first) == 6
     assert float(first[0]) == C0
     assert float(first[2]) == 1.0  # e_sl at the left endpoint
-
-    plain = curves_csv(sampled)
-    assert plain.splitlines()[0].startswith("R,")
+    # every cell round-trips to the sampled row
+    assert [tuple(map(float, line.split(","))) for line in lines[2:]] == sample_curves(C0, C, 3)
 
 
 def test_fmt_round_trips_and_keeps_the_sign_of_infinity():
@@ -285,13 +291,9 @@ def test_fmt_round_trips_and_keeps_the_sign_of_infinity():
     assert curves._fmt(math.nan) == "nan"
     for x in (0.1, -2.5e-300, 1.0 / 3.0, 2521034.6577171395):
         assert float(curves._fmt(x)) == x
-
-
-def test_curves_csv_rejects_mismatched_input():
-    sampled = sample_curves(C0, C, 3)
-    with pytest.raises(ValueError):
-        curves_csv(sampled[:3])
-    other = sample_curves(C0, C, 4)
-    mixed = sampled[:4] + [other[4]]
-    with pytest.raises(ValueError):
-        curves_csv(mixed)
+    # an integral float loses its point; anything but a float goes through str
+    assert curves._fmt(3.0) == "3"
+    assert curves._fmt(3) == "3"
+    assert curves._fmt((1 << 128) - 1) == "340282366920938463463374607431768211455"
+    assert curves._fmt(True) == "True" and curves._fmt(False) == "False"
+    assert curves._fmt("pair.txt") == "pair.txt"

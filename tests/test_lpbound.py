@@ -508,6 +508,10 @@ def test_certificates_off_sqrt5_are_refused(tmp_path):
     path.write_text(text.replace("qprime 2.2360679774997898", f"qprime {QPRIME + 1e-6!r}"))
     with pytest.raises(ValueError, match=r"qprime 2\.23606897749979 is not sqrt 5"):
         load_certificate(path)
+    # nan compares false with everything, so it must not slip past the test
+    path.write_text(text.replace("qprime 2.2360679774997898", "qprime nan"))
+    with pytest.raises(ValueError, match=r"qprime nan is not sqrt 5"):
+        load_certificate(path)
 
 
 @pytest.mark.parametrize(
