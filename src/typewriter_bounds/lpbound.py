@@ -76,9 +76,10 @@ class LPSolution:
 
 
 def _normalize_d(n: int, d) -> float:
+    # not d >= 1 refuses NaN and -inf too, before int() could raise on them
+    if not d >= 1 or d != INF and d != int(d):
+        raise ValueError(f"distance {d} must be a positive integer or inf")
     if d != INF:
-        if d != int(d) or d < 1:
-            raise ValueError(f"distance {d} must be a positive integer or inf")
         d = int(d)
         if d > n:
             return INF
@@ -359,7 +360,7 @@ def max_code(n: int, d):
     over its compatible neighbours, which returns the same witness.  The
     same fact builds the graph: each d thresholds one table per length, the
     weight of every word (one word_distance to word 0 each) read at the
-    index of each difference w_j - w_i.  That table and the root orbits
+    index of each difference w_j - w_i.  That table and the root maps
     below are cached per n and shared by every d.
 
     The search then runs two passes over one bitset graph.  A greedy
@@ -373,14 +374,29 @@ def max_code(n: int, d):
     the first code of that size it meets.  No pruned branch holds a code of
     that size, so the first one met is the lex-first maximum code.
 
-    The size pass also prunes by root orbits.  Permuting coordinates and
-    negating any of them fixes word 0 and keeps the typewriter distance,
-    since w(a) = w(-a); two words lie in one orbit of these maps exactly
-    when their sorted tuples of min(a, 5 - a) agree.  Once the root has
-    searched every code through word 0 and a word v, a code through 0 and
-    any orbit-mate of v maps onto one of those, so the root drops v's whole
-    orbit, not just v: at n = 3 it branches at most 9 times, not up to 124.
-    The witness pass keeps lex order and only reads the size.
+    Both passes prune by symmetry, at the root and one level below it.  The
+    root maps permute coordinates and negate any of them; they fix word 0
+    and keep the typewriter distance, since w(a) = w(-a), and one table per
+    length holds the image of every word under each of the 2^n n! maps.
+    Below the root on a word v, the maps that fix {0, v} setwise are the
+    root maps that fix v and each of them followed by the swap x -> v - x,
+    which exchanges 0 and v and keeps the distance because the graph is
+    Cayley and w(-a) = w(a).  A map that fixes the chosen words carries a
+    code through them and u onto one through them and u's image.  So once
+    the size pass has searched every code through the chosen words and u,
+    it drops u's whole orbit under those maps, not just u: at the root the
+    orbit under the root maps (at n = 3 it branches at most 9 times, not up
+    to 124), and on {0, v} the orbit under the maps that fix {0, v}.
+
+    The witness pass drops orbits too, for another reason.  At a prefix S
+    no code of the target size has a lex-smaller prefix, so every such code
+    that holds S starts with S, and its next word is its least word outside
+    S.  When a branch u fails, every candidate below u has failed or been
+    dropped, so no code of the target size holds S and u.  A map that fixes
+    S setwise then rules out u's image as well: at the root a failed branch
+    drops its root orbit, and on {0, v} its orbit under the maps that fix
+    {0, v}.  Only words that no code of the target size holds together with
+    S are dropped, so the first code met is still the lex-first.
 
     Both passes also cap the code by first-symbol blocks.  The 5^(n-1)
     words with one first symbol are a contiguous run of the scan order, and
@@ -406,24 +422,29 @@ def max_code(n: int, d):
 @functools.lru_cache(maxsize=None)
 def _length_tables(n: int) -> tuple:
     """The words of Z_5^n in base-5 order, the typewriter weight of each,
-    the index of each difference w_j - w_i at [i, j], and each word's root
-    orbit as a bitset, built once per length and shared by every d.
+    the index of each difference w_j - w_i at [i, j], and the root maps,
+    built once per length and shared by every d.
 
     Each weight is one word_distance to the zero word, and the distance of
     w_i and w_j is the weight at their difference, so no pair is measured.
+    Row g of the root maps holds, at x, the index of the image of word x
+    under one of the 2^n n! maps that permute coordinates and negate some:
+    symbol i of the image is signs[i] * x[perm[i]], with perm running over
+    itertools.permutations and, within each perm, signs over
+    itertools.product((1, -1), repeat=n).
     """
     words = list(itertools.product(range(5), repeat=n))
     weights = np.array([word_distance(w, (0,) * n) for w in words])
     digits = np.array(words, dtype=np.intp).reshape(len(words), n)
-    diff = (digits[None, :, :] - digits[:, None, :]) % 5 @ 5 ** np.arange(n - 1, -1, -1)
-    weights.setflags(write=False)
-    diff.setflags(write=False)
-    # root orbits, as in max_code: words with one sorted tuple of min(a, 5 - a)
-    keys = [tuple(sorted(min(a, 5 - a) for a in w)) for w in words]
-    orbit_of_key: dict[tuple, int] = {}
-    for v, key in enumerate(keys):
-        orbit_of_key[key] = orbit_of_key.get(key, 0) | 1 << v
-    return tuple(words), weights, diff, tuple(orbit_of_key[key] for key in keys)
+    place = 5 ** np.arange(n - 1, -1, -1)
+    diff = (digits[None, :, :] - digits[:, None, :]) % 5 @ place
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.intp)
+    images = digits[:, perms][:, :, None, :] * signs % 5 @ place
+    maps = np.ascontiguousarray(images.reshape(len(words), -1).T)
+    for table in (weights, diff, maps):
+        table.setflags(write=False)
+    return tuple(words), weights, diff, maps
 
 
 def _compatibility_rows(n: int, d) -> list:
@@ -437,38 +458,60 @@ def _compatibility_rows(n: int, d) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _max_code_impl(n: int, d):
-    words, _, _, orbits = _length_tables(n)
+    words, _, diff, maps = _length_tables(n)
     # first-symbol blocks, capped by the cached search one length down (not
     # max_code, so a traced run records one span per search)
     run = 5 ** (n - 1)
     blocks = [((1 << run) - 1) << (run * a) for a in range(5)]
     cap = _max_code_impl(n - 1, _normalize_d(n - 1, d))[0] if n > 1 else 1
-    size, clique = _max_clique_with_zero(_compatibility_rows(n, d), list(orbits), blocks, cap)
+    # diff[x, v] is the index of w_v - w_x: column v is the swap x -> v - x
+    size, clique = _max_clique_with_zero(_compatibility_rows(n, d), maps, diff, blocks, cap)
     return size, tuple(words[v] for v in clique)
 
 
-def _max_clique_with_zero(adj: list, orbits: list, blocks: list, cap: int) -> tuple:
+def _max_clique_with_zero(adj: list, maps: np.ndarray, swaps, blocks: list, cap: int) -> tuple:
     """Size and ascending vertices of the lex-first maximum clique through 0.
 
-    adj[v] is the bitset of the neighbours of v (symmetric, no loops), and
-    orbits[v] the bitset of v's orbit under automorphisms of the graph that
-    fix vertex 0 (just 1 << v when none is known).  blocks are bitsets of
-    contiguous runs of vertices, in order, that partition them, and no
-    clique meets a block more than cap times; one block of every vertex,
-    capped by their number, prunes nothing.  The cap-first witness pass,
-    and the size pass and witness pass after it, are those described in
-    max_code.
+    adj[v] is the bitset of the neighbours of v (symmetric, no loops).  Each
+    row of the integer array maps is an automorphism of the graph that
+    fixes vertex 0, given as the image of every vertex, and swaps is None
+    or a square integer array whose column v is an automorphism that
+    exchanges 0 and v.  Below the root on v the search uses the rows that
+    fix v, and each of them followed by column v of swaps; all of these fix
+    {0, v} setwise.  Any set of automorphisms is sound, and a group drops
+    whole orbits; one identity row and no swaps use no symmetry.  blocks
+    are bitsets of contiguous runs of vertices, in order, that partition
+    them, and no clique meets a block more than cap times; one block of
+    every vertex, capped by their number, prunes nothing.  The cap-first
+    witness pass, the size pass and witness pass after it, and the images
+    they drop are those described in max_code.
     """
     universe = (1 << len(adj)) - 1
     # bitsets are keyed by their lowest set bit so the hot loops never need
     # an index extraction; single-bit ints hash cheaply
     adj_by_bit = {1 << v: row for v, row in enumerate(adj)}
     conf_by_bit = {1 << v: universe & ~row & ~(1 << v) for v, row in enumerate(adj)}
-    orbit_by_bit = {1 << v: orbit for v, orbit in enumerate(orbits)}
     block_by_bit = {1 << v: b for b, block in enumerate(blocks) for v in range(len(adj)) if block >> v & 1}
     # most a clique can still add from block b on, before counting its words in b
     room = [cap * (len(blocks) - b) for b in range(len(blocks))]
     limit = cap * len(blocks)
+    bits = list(adj_by_bit)  # 1 << v at v
+    pairs = {}
+
+    def fixing_below(low: int, depth: int):
+        """The maps that fix the chosen words once low joins a node at
+        depth: for the root, those that fix {0, low}; deeper, none."""
+        if depth > 1:
+            return None
+        if low not in pairs:
+            v = low.bit_length() - 1
+            fixing = maps[maps[:, v] == v]
+            pairs[low] = fixing if swaps is None else np.vstack([fixing, swaps[:, v][fixing]])
+        return pairs[low]
+
+    def images(fixing, low: int) -> int:
+        """The bitset of low's images under the rows of fixing."""
+        return sum(map(bits.__getitem__, set(fixing[:, low.bit_length() - 1].tolist())))
 
     def colour_classes(pool: int) -> list:
         classes = []
@@ -485,7 +528,7 @@ def _max_clique_with_zero(adj: list, orbits: list, blocks: list, cap: int) -> tu
 
     best = 0
 
-    def grow(pool: int, depth: int) -> None:
+    def grow(pool: int, depth: int, fixing) -> None:
         nonlocal best
         best = max(best, depth)
         classes = colour_classes(pool)
@@ -497,15 +540,15 @@ def _max_clique_with_zero(adj: list, orbits: list, blocks: list, cap: int) -> tu
                 low = cls & -cls
                 cls ^= low
                 if not pool & low:
-                    continue  # an orbit-mate of a root branch already searched
-                grow(pool & adj_by_bit[low], depth + 1)
-                # at the root, every clique through 0 and an orbit-mate of low
-                # maps onto one through 0 and low, which is now searched
-                pool &= ~(orbit_by_bit[low] if depth == 1 else low)
+                    continue  # an image of a branch already searched
+                grow(pool & adj_by_bit[low], depth + 1, fixing_below(low, depth))
+                # every clique through the chosen words and an image of low
+                # maps onto one through them and low, which is now searched
+                pool &= ~(low if fixing is None else images(fixing, low))
 
     taken = [0] * len(blocks)  # chosen vertices per block
 
-    def scan(chosen: list, pool: int, depth: int) -> bool:
+    def scan(chosen: list, pool: int, depth: int, fixing) -> bool:
         if depth == best:
             return True
         # class tops in falling order: the classes whose highest vertex is at
@@ -521,10 +564,13 @@ def _max_clique_with_zero(adj: list, orbits: list, blocks: list, cap: int) -> tu
             pool ^= low
             chosen.append(low)
             taken[b] += 1
-            if scan(chosen, pool & adj_by_bit[low], depth + 1):
+            if scan(chosen, pool & adj_by_bit[low], depth + 1, fixing_below(low, depth)):
                 return True
             chosen.pop()
             taken[b] -= 1
+            # no clique of the target size holds the chosen words and low, so
+            # none holds them and an image of low either
+            pool &= ~(low if fixing is None else images(fixing, low))
         return False
 
     chosen = [1]
@@ -533,10 +579,10 @@ def _max_clique_with_zero(adj: list, orbits: list, blocks: list, cap: int) -> tu
     # aims at the cap first; only when no clique meets it does the size
     # pass find the size for a second witness pass
     best = limit
-    if not scan(chosen, adj[0], 1):
+    if not scan(chosen, adj[0], 1, maps):
         best = 0
-        grow(adj[0], 1)
-        scan(chosen, adj[0], 1)
+        grow(adj[0], 1, maps)
+        scan(chosen, adj[0], 1, maps)
     return best, [b.bit_length() - 1 for b in chosen]
 
 

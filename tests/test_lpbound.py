@@ -76,6 +76,15 @@ def test_distance_validation():
         max_code(2, 0)
 
 
+@pytest.mark.parametrize("function", [max_code, solve_distance_lp, composite_bound])
+def test_non_finite_distances_are_refused_by_name(function):
+    # NaN and -inf fail the range check before int() sees them, so neither
+    # raises "cannot convert float NaN to integer" or OverflowError
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match=f"^distance {bad} must be a positive integer or inf$"):
+            function(2, bad)
+
+
 def test_lp_solution_is_feasible():
     sol = solve_distance_lp(8, 3)
     lam = np.array(sol.lam)
@@ -590,6 +599,12 @@ def test_max_code_witnesses_meet_the_first_symbol_cap():
             assert per_block == [cap] * 5, (n, d)  # the cap is tight here
 
 
+def _identity(nv):
+    """The one map of the trivial group, as the search takes its maps: the
+    search then uses no symmetry."""
+    return np.arange(nv)[None, :]
+
+
 def _lex_first_clique_brute_force(adj):
     best = (0,)
     others = range(1, len(adj))
@@ -617,8 +632,7 @@ def test_max_clique_with_zero_matches_brute_force(nv, density, seed):
         if rng.random() < density:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    singletons = [1 << v for v in range(nv)]
-    got = _max_clique_with_zero(adj, singletons, [(1 << nv) - 1], nv)
+    got = _max_clique_with_zero(adj, _identity(nv), None, [(1 << nv) - 1], nv)
     assert got == _lex_first_clique_brute_force(adj)
 
 
@@ -666,8 +680,7 @@ def test_block_cap_keeps_the_lex_first_clique(nv, density, seed, slack, plant):
             adj[v] |= 1 << u
     blocks = [sum(1 << v for v in run) for run in runs]
     cap = max(_largest_clique(adj, run) for run in runs) + slack
-    singletons = [1 << v for v in range(nv)]
-    got = _max_clique_with_zero(adj, singletons, blocks, cap)
+    got = _max_clique_with_zero(adj, _identity(nv), None, blocks, cap)
     assert got == _lex_first_clique_brute_force(adj)
     if plant and not slack:
         assert got[0] == cap * len(blocks) == len(planted)
@@ -703,6 +716,23 @@ def _explicit_orbits(n):
     return [sum({1 << index[m(w)] for m in maps}) for w in words]
 
 
+def _map_rows(n):
+    """_root_maps as index arrays, in their order: row g holds the index
+    of the image of each word (base-5 order)."""
+    words = list(itertools.product(range(5), repeat=n))
+    index = {w: v for v, w in enumerate(words)}
+    return np.array([[index[m(w)] for w in words] for m in _root_maps(n)])
+
+
+def _swap_columns(n):
+    """[x, v]: the index of v - x, so column v is the swap x -> v - x."""
+    words = list(itertools.product(range(5), repeat=n))
+    index = {w: v for v, w in enumerate(words)}
+    return np.array(
+        [[index[tuple((b - a) % 5 for a, b in zip(x, y))] for y in words] for x in words]
+    )
+
+
 def test_root_maps_fix_zero_and_keep_the_distance():
     rng = np.random.default_rng(0)
     for n in (1, 2, 3):
@@ -724,16 +754,19 @@ def test_max_code_passes_the_explicit_root_orbits(monkeypatch):
     seen = []
     search = lpbound._max_clique_with_zero
 
-    def spy(adj, orbits, blocks, cap):
-        seen.append((orbits, blocks, cap))
-        return search(adj, orbits, blocks, cap)
+    def spy(adj, maps, swaps, blocks, cap):
+        seen.append((maps, swaps, blocks, cap))
+        return search(adj, maps, swaps, blocks, cap)
 
     monkeypatch.setattr(lpbound, "_max_clique_with_zero", spy)
     for n in (1, 2, 3):
         # the cache's own function, so the search runs even when cached
         assert lpbound._max_code_impl.__wrapped__(n, INF) == max_code(n, INF)
-        orbits, blocks, cap = seen.pop()
-        assert orbits == _explicit_orbits(n)
+        maps, swaps, blocks, cap = seen.pop()
+        # every root map, in _root_maps' order, and the orbits they give
+        assert np.array_equal(maps, _map_rows(n))
+        assert [sum({1 << int(v) for v in column}) for column in maps.T] == _explicit_orbits(n)
+        assert np.array_equal(swaps, _swap_columns(n))
         # the five first-symbol runs, capped by the code one length down
         run = 5 ** (n - 1)
         assert blocks == [sum(1 << v for v in range(a * run, (a + 1) * run)) for a in range(5)]
@@ -754,19 +787,19 @@ def _cayley_graph(n, connection):
 
 
 def _orbit_pruning_agrees(n, pick):
-    """The search with root orbits returns what it returns with singleton
-    orbits on the Cayley graph whose connection set is the union of the
-    root orbits of Z5^n that pick chooses (the orbit of 0 excluded)."""
+    """The search with the root maps and the swaps returns the size and
+    witness it returns with the identity alone, on the Cayley graph whose
+    connection set is the union of the root orbits of Z5^n that pick
+    chooses (the orbit of 0 excluded)."""
     orbits = _explicit_orbits(n)
     words = list(itertools.product(range(5), repeat=n))
     classes = sorted(set(orbits) - {1})
     union = sum(cls for cls, keep in zip(classes, pick) if keep)
     connection = {w for v, w in enumerate(words) if union >> v & 1}
     adj = _cayley_graph(n, connection)
-    singletons = [1 << v for v in range(len(words))]
     blocks, cap = [(1 << len(words)) - 1], len(words)
-    got = _max_clique_with_zero(adj, orbits, blocks, cap)
-    assert got == _max_clique_with_zero(adj, singletons, blocks, cap)
+    got = _max_clique_with_zero(adj, _map_rows(n), _swap_columns(n), blocks, cap)
+    assert got == _max_clique_with_zero(adj, _identity(len(words)), None, blocks, cap)
 
 
 @settings(deadline=None, max_examples=100, derandomize=True)
@@ -779,6 +812,26 @@ def test_orbit_pruning_matches_singleton_orbits_on_z5_squared(pick):
 @given(pick=st.lists(st.booleans(), min_size=9, max_size=9))
 def test_orbit_pruning_matches_singleton_orbits_on_z5_cubed(pick):
     _orbit_pruning_agrees(3, pick)
+
+
+def test_max_code_matches_the_search_without_symmetry():
+    # every d of every n <= 3: the symmetric search returns the size and the
+    # witness of the identity-only search, whose block caps come from the
+    # identity-only search one length down
+    searched = {}
+    for n in (1, 2, 3):
+        words = list(itertools.product(range(5), repeat=n))
+        run = 5 ** (n - 1)
+        blocks = [((1 << run) - 1) << (run * a) for a in range(5)]
+        for d in list(range(1, 2 * n + 1)) + [INF]:
+            # every d > n is the d = inf graph
+            key = (n, INF if d > n else d)
+            if key not in searched:
+                cap = searched[n - 1, INF if d > n - 1 else d][0] if n > 1 else 1
+                adj = lpbound._compatibility_rows(*key)
+                searched[key] = _max_clique_with_zero(adj, _identity(len(words)), None, blocks, cap)
+            size, clique = searched[key]
+            assert max_code(n, d) == (size, tuple(words[v] for v in clique)), (n, d)
 
 
 def test_max_code_guard():

@@ -1,4 +1,5 @@
-"""Per-layer timings of the certify path at fixed work, in one process.
+"""Per-layer timings of the certify path and the clique search at fixed
+work, in one process.
 
     python3 tools/bench_layers.py [--tree PATH]
 
@@ -16,6 +17,9 @@ every run, outside the timed region:
   kraw_table       lpbound._kraw_table(64), cold
   lp_10_3, lp_28_3 solve_distance_lp at (10, 3) and (28, 3), table warm
   certify_seed1    the benchmark's 36 certify jobs of seed 1, caches cleared
+  maxcode_3_2      max_code(3, 2), with the length tables and the searches
+                   at every length cleared
+  maxcode_3_inf    max_code(3, inf), cleared likewise
 
 Each case runs REPEATS times, alternating with the reference loop, and each run is
 scaled to reference seconds by the loop's pace on its two sides, as the
@@ -59,6 +63,12 @@ def cases(tb, run, worker) -> dict:
             return [sol.status, [v.hex() for v in sol.lam], sol.objective.hex()]
         return (lambda: lp._kraw_table(n), solve)
 
+    def max_code(d):
+        def search():
+            size, words = lp.max_code(3, d)
+            return [size, [list(w) for w in words]]
+        return (lambda: clear(lp._max_code_impl, lp._length_tables), search)
+
     def mrrw():
         t, a, objective = lp.mrrw_params(64, 20)
         return [t, a.hex(), objective.hex()]
@@ -72,6 +82,8 @@ def cases(tb, run, worker) -> dict:
         "lp_28_3": lp_case(28, 3),
         "certify_seed1": (lambda: clear(lp.first_root, lp._kraw_table),
                           lambda: [worker.run_certify(job, tb) for job in jobs]),
+        "maxcode_3_2": max_code(2),
+        "maxcode_3_inf": max_code(float("inf")),
     }
 
 
