@@ -1,10 +1,11 @@
 """Fourier analysis on Z_5^n used by the linear-programming code bounds.
 
-Transforms use the symmetric kernel exp(+2 pi i <w, x> / 5), so dft is 5^n
-times numpy's inverse FFT and idft is numpy's forward FFT over 5^n.  These
-dense 5^n transforms serve the self-checks and the tests; lpbound checks
-its certificate with 3 x 3 blocks of the same kernels instead, on the 3^n
-words where the certificate and its transform take every value.
+A function on Z_5^n is a (5,)*n numpy array.  Transforms use the symmetric
+kernel exp(+2 pi i <w, x> / 5), so dft is 5^n times numpy's inverse FFT and
+idft is numpy's forward FFT over 5^n.  These dense 5^n transforms serve the
+self-checks and the tests; lpbound checks its certificate with 3 x 3 blocks
+of the same kernels instead, on the 3^n words where the certificate and its
+transform take every value.
 
 The transform of the ell-th frequency sphere (freq_sphere_indicator) at a
 word of {0, +-1}^n with u nonzero entries is (2 cos(pi/5))^ell K_ell(u; n,
@@ -25,15 +26,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "GroupFunction",
     "dft",
     "idft",
-    "inner",
     "lovasz_assignment",
     "lovasz_bound",
     "symbol_count",
@@ -45,26 +43,6 @@ _Q = 5
 _COS = math.cos(math.pi / _Q)
 
 
-@dataclass(frozen=True)
-class GroupFunction:
-    """Dense complex function on Z_5^n, stored as a (5,)*n array."""
-
-    n: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        _check_size(self.n)
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (_Q,) * self.n:
-            raise ValueError(f"values shape {vals.shape} != {(_Q,) * self.n}")
-        object.__setattr__(self, "values", vals)
-
-    def __getitem__(self, word) -> complex:
-        if len(word) != self.n or not all(isinstance(c, numbers.Integral) for c in word):
-            raise ValueError(f"word {tuple(word)!r} not in Z_5^{self.n}")
-        return complex(self.values[tuple(c % _Q for c in word)])
-
-
 def _check_size(n: int) -> None:
     """Refuse Z_5^n for n < 1, or before allocating anything of size 5^n."""
     if n < 1:
@@ -73,24 +51,28 @@ def _check_size(n: int) -> None:
         raise ValueError(f"q^n = {_Q**n} exceeds guard {_SIZE_GUARD}")
 
 
-def dft(f: GroupFunction) -> GroupFunction:
+def _as_function(f) -> np.ndarray:
+    """f as a complex (5,)*n array; its shape is checked before any copy."""
+    shape = np.shape(f)
+    _check_size(len(shape))
+    if shape != (_Q,) * len(shape):
+        raise ValueError(f"shape {shape} is not (5,)*n")
+    return np.asarray(f, dtype=np.complex128)
+
+
+def dft(f: np.ndarray) -> np.ndarray:
     """f_hat(w) = sum_x f(x) exp(+2 pi i <w, x> / 5)."""
-    return GroupFunction(f.n, _Q**f.n * np.fft.ifftn(f.values))
+    f = _as_function(f)
+    return _Q**f.ndim * np.fft.ifftn(f)
 
 
-def idft(f: GroupFunction) -> GroupFunction:
+def idft(f: np.ndarray) -> np.ndarray:
     """Inverse of dft: 5^-n sum_w f(w) exp(-2 pi i <w, x> / 5)."""
-    return GroupFunction(f.n, np.fft.fftn(f.values) / _Q**f.n)
+    f = _as_function(f)
+    return np.fft.fftn(f) / _Q**f.ndim
 
 
-def inner(f: GroupFunction, g: GroupFunction) -> complex:
-    """(f, g) = 5^-n sum_x conj(f(x)) g(x)."""
-    if f.n != g.n:
-        raise ValueError("mismatched domains")
-    return complex(np.vdot(f.values, g.values) / _Q**f.n)
-
-
-def lovasz_assignment(n: int) -> GroupFunction:
+def lovasz_assignment(n: int) -> np.ndarray:
     """Product witness: 1 at 0 and 1/(2 cos(pi/5)) at single cyclic steps.
 
     Built as the n-fold product of the one-letter assignment, so g(x) =
@@ -99,7 +81,7 @@ def lovasz_assignment(n: int) -> GroupFunction:
     _check_size(n)
     phi = 1.0 / (2.0 * _COS)
     one = np.array([1.0, phi, 0.0, 0.0, phi])
-    return GroupFunction(n, functools.reduce(np.multiply.outer, (one,) * n))
+    return functools.reduce(np.multiply.outer, (one,) * n)
 
 
 def lovasz_bound(n: int) -> float:
@@ -127,8 +109,8 @@ def symbol_count(n: int, symbols) -> np.ndarray:
     return functools.reduce(np.add.outer, (table,) * n)
 
 
-def freq_sphere_indicator(n: int, ell: int) -> GroupFunction:
+def freq_sphere_indicator(n: int, ell: int) -> np.ndarray:
     """Indicator of words with ell coordinates equal to +-2, the rest 0."""
     if not isinstance(ell, numbers.Integral) or not 0 <= ell <= n:
         raise ValueError(f"sphere index {ell!r} not in 0..{n}")
-    return GroupFunction(n, symbol_count(n, (2, 3)) == ell)
+    return symbol_count(n, (2, 3)) == ell

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import _fmt
-from .fourier import _COS, _Q, _SIZE_GUARD, GroupFunction, _check_size, lovasz_bound
+from .fourier import _COS, _Q, _SIZE_GUARD, _check_size, lovasz_bound
 from .scalars import (
     _POWERS, INF, QPRIME, _check_length, _krawtchouk_row, krawtchouk, word_distance
 )
@@ -266,8 +266,8 @@ def _cube_certificate(sol: LPSolution) -> tuple[np.ndarray, np.ndarray]:
     return g * h, count
 
 
-def certificate_function(sol: LPSolution) -> GroupFunction:
-    """Product witness times sphere multiplier, as a function on Z_5^n.
+def certificate_function(sol: LPSolution) -> np.ndarray:
+    """Product witness times sphere multiplier, as a (5,)*n array on Z_5^n.
 
     The result f vanishes off {0, +-1}^n, is <= 0 on confusable differences
     with >= d steps, has nonnegative transform, and satisfies
@@ -282,7 +282,7 @@ def certificate_function(sol: LPSolution) -> GroupFunction:
     f, _ = _cube_certificate(sol)
     values = np.zeros((_Q,) * sol.n, dtype=np.complex128)
     values[np.ix_(*(_CUBE,) * sol.n)] = f
-    return GroupFunction(sol.n, values)
+    return values
 
 
 @dataclass(frozen=True)

@@ -121,11 +121,11 @@ def _check_transform_oracle():
 
 def _check_parseval():
     rng = np.random.default_rng(11)
-    vals = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    f = fourier.GroupFunction(2, vals)
-    lhs = fourier.inner(f, f).real
+    f = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     g = fourier.dft(f)
-    rhs = (fourier.inner(g, g) / 5**2).real
+    # (f, f) = 5^-n sum |f|^2, and (f_hat, f_hat) = 5^n (f, f)
+    lhs = float(np.vdot(f, f).real) / 5**2
+    rhs = float(np.vdot(g, g).real) / 5**2 / 5**2
     return _close(lhs - rhs, 0.0, 1e-12, "Parseval defect")
 
 

@@ -1,10 +1,12 @@
 """Command line front end: formats, determinism, exit codes."""
 
+import ast
 import hashlib
 import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -302,6 +304,45 @@ def test_readme_lp_command_peak_memory(tmp_path):
     code, hwm_kib = lines[-1].split()
     assert code == "0"
     assert int(hwm_kib) / 1024 < 100
+
+
+# a bare import first, then the README block verbatim, then each stated value
+_README_PROBE = """
+import json, sys
+import typewriter_bounds
+attrs = {m: hasattr(typewriter_bounds, m) for m in ("lpbound", "construction", "channel")}
+namespace = {}
+exec(compile(sys.argv[1], "README.md", "exec"), namespace)
+values = {expr: repr(eval(expr, namespace)) for expr in json.loads(sys.argv[2])}
+print(json.dumps({"all": typewriter_bounds.__all__, "attrs": attrs, "values": values}))
+"""
+
+
+def test_readme_entry_point_block_runs_and_is_the_whole_namespace(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "typewriter_bounds"
+        for alias in node.names
+    ]
+    # a comment ending in "-> value" states what its line returns
+    stated = {}
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if "->" in comment:
+            stated[code.strip()] = comment.rpartition("->")[2].strip()
+    assert {"e_lp1(1.2)", "max_code(2, math.inf)", "composite_bound(2, math.inf)"} <= set(stated)
+
+    proc = _fresh_interpreter(["-c", _README_PROBE, block, json.dumps(list(stated))], tmp_path)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    out = json.loads(proc.stdout)
+    assert sorted(out["all"]) == sorted(["__version__", *imported])
+    assert len(imported) == 7
+    assert out["attrs"] == {"lpbound": True, "construction": True, "channel": True}
+    for expr, value in stated.items():
+        assert ast.literal_eval(out["values"][expr]) == ast.literal_eval(value), expr
 
 
 def test_verify_all_suites_pass(capsys):

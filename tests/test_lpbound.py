@@ -13,14 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typewriter_bounds import lpbound
-from typewriter_bounds.fourier import (
-    GroupFunction,
-    dft,
-    idft,
-    lovasz_assignment,
-    lovasz_bound,
-    symbol_count,
-)
+from typewriter_bounds.fourier import dft, idft, lovasz_assignment, lovasz_bound, symbol_count
 from typewriter_bounds.lpbound import (
     _CUBE,
     _apply_axes,
@@ -270,7 +263,7 @@ def test_support_violation_matches_brute_force():
         distances = list(range(1, n + 1)) + [INF]
         for d_lp in distances:
             sol = solve_distance_lp(n, d_lp)
-            fr = certificate_function(sol).values.real
+            fr = certificate_function(sol).real
             for d in distances:
                 want = max(
                     fr[x]
@@ -345,9 +338,9 @@ def _dense_certificate(sol):
     c = math.cos(math.pi / q)
     coeffs = np.zeros(n * (n + 1) + 1)
     coeffs[: n + 1] = [q**n * lam / (2.0 * c) ** ell for ell, lam in enumerate(sol.lam)]
-    h = idft(GroupFunction(n, coeffs[symbol_count(n, (2, 3))]))
-    f = lovasz_assignment(n).values * h.values
-    fhat = dft(GroupFunction(n, f)).values.real
+    h = idft(coeffs[symbol_count(n, (2, 3))])
+    f = lovasz_assignment(n) * h
+    fhat = dft(f).real
     weight = symbol_count(n, (1, 4))
     threshold = n + 1 if sol.d > n else math.ceil(sol.d)
     worst = float(np.max(f.real, where=weight >= threshold, initial=-math.inf)) + 0.0
@@ -369,7 +362,7 @@ def test_certificate_matches_the_dense_construction():
     for sol in sols:
         want_f, bound, worst, tmin, hatscale = _dense_certificate(sol)
         scale = np.abs(want_f).max()
-        f = certificate_function(sol).values
+        f = certificate_function(sol)
         assert np.abs(f - want_f).max() <= 1e-12 * scale
         off_cube = symbol_count(sol.n, (1, 4)) > sol.n
         assert not f[off_cube].any()

@@ -1,5 +1,5 @@
-"""Per-layer timings of the certify path and the clique search at fixed
-work, in one process.
+"""Per-layer timings of the certify path, the clique search and the
+package import at fixed work.
 
     python3 tools/bench_layers.py [--tree PATH]
 
@@ -20,6 +20,12 @@ every run, outside the timed region:
   maxcode_3_2      max_code(3, 2), with the length tables and the searches
                    at every length cleared
   maxcode_3_inf    max_code(3, inf), cleared likewise
+  import_package   a fresh `python -c "import typewriter_bounds"`, with
+                   PATH/src first on PYTHONPATH, one process at a time
+  import_cli       a fresh `python -c "import typewriter_bounds.cli"`, likewise
+
+The two import cases hash the sorted names of the package's modules that
+the import loaded.
 
 Each case runs REPEATS times, alternating with the reference loop, and each run is
 scaled to reference seconds by the loop's pace on its two sides, as the
@@ -34,7 +40,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -73,6 +81,21 @@ def cases(tb, run, worker) -> dict:
         t, a, objective = lp.mrrw_params(64, 20)
         return [t, a.hex(), objective.hex()]
 
+    src = Path(tb.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+    def fresh_import(module):
+        probe = (f"import sys, {module}; print(sys.modules['typewriter_bounds'].__file__); "
+                 "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'typewriter_bounds'))")
+
+        def start():
+            out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                 capture_output=True, text=True).stdout.splitlines()
+            if src not in Path(out[0]).resolve().parents:
+                raise RuntimeError(f"the fresh process imported {out[0]}, not from {src}")
+            return out[1].split()
+        return (lambda: None, start)
+
     return {
         "first_root": (lambda: clear(lp.first_root),
                        lambda: [lp.first_root(64, ell).hex() for ell in range(1, 65)]),
@@ -84,6 +107,8 @@ def cases(tb, run, worker) -> dict:
                           lambda: [worker.run_certify(job, tb) for job in jobs]),
         "maxcode_3_2": max_code(2),
         "maxcode_3_inf": max_code(float("inf")),
+        "import_package": fresh_import("typewriter_bounds"),
+        "import_cli": fresh_import("typewriter_bounds.cli"),
     }
 
 
