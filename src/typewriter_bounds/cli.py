@@ -185,6 +185,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = args.suite or sorted(verification.SUITES)
+    for name in names:  # every name before any suite runs
+        if name not in verification.SUITES:
+            raise ValueError(f"unknown suite {name!r}, have {sorted(verification.SUITES)}")
     results = []
     for name in names:
         results.extend(verification.run_suite(name))

@@ -138,10 +138,10 @@ def optimize_exponent(r: float) -> ExponentResult:
     """Best achievable exponent (length-n normalisation) at inner rate r.
 
     The inner maximisation over the split fraction tau is always solved by
-    tau = 1/3; the distance fraction delta is 3/4 when the GV distance allows
-    it and the GV distance itself otherwise, which switches the exponent
-    between -(log5*(r-1) + 2) and delta_gv*(4/3 - H2(1/3)).
-    """
+    tau = 1/3; delta is 3/4 when the GV distance allows it, for an exponent
+    of log2(5)*(1 - r) - 2, and the GV distance itself otherwise, for
+    delta_gv*(4/3 - H2(1/3)).  The first is negative for r > 1 - 2/log2(5)
+    = 0.1386..., where it is a true but empty lower bound."""
     d_gv = gv_delta(r)
     tau_star = 1.0 / 3.0
     if d_gv <= 0.75:

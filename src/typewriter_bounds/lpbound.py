@@ -374,29 +374,25 @@ def max_code(n: int, d):
     the first code of that size it meets.  No pruned branch holds a code of
     that size, so the first one met is the lex-first maximum code.
 
-    Both passes prune by symmetry, at the root and one level below it.  The
-    root maps permute coordinates and negate any of them; they fix word 0
-    and keep the typewriter distance, since w(a) = w(-a), and one table per
-    length holds the image of every word under each of the 2^n n! maps.
-    Below the root on a word v, the maps that fix {0, v} setwise are the
-    root maps that fix v and each of them followed by the swap x -> v - x,
-    which exchanges 0 and v and keeps the distance because the graph is
-    Cayley and w(-a) = w(a).  A map that fixes the chosen words carries a
-    code through them and u onto one through them and u's image.  So once
-    the size pass has searched every code through the chosen words and u,
-    it drops u's whole orbit under those maps, not just u: at the root the
-    orbit under the root maps (at n = 3 it branches at most 9 times, not up
-    to 124), and on {0, v} the orbit under the maps that fix {0, v}.
+    Both passes prune by symmetry, by one rule at every node.  The maps
+    x -> M(x) + t keep the distance: M permutes coordinates and negates any
+    of them (one of 2^n n! root maps, as w(-a) = w(a)), and adding a word t
+    keeps it in a Cayley graph.  A node prunes by those that fix its chosen
+    words setwise, found once one of its branches is done: all of them
+    while at most three words are chosen, deeper those of the node above
+    that fix the newest word, until only the identity is left.  Such a map
+    carries a code through the chosen words and u onto one through them and
+    u's image, so once the size pass has searched every code through them
+    and u, it drops u's orbit (at n = 3 the root branches at most 9 times).
 
     The witness pass drops orbits too, for another reason.  At a prefix S
     no code of the target size has a lex-smaller prefix, so every such code
     that holds S starts with S, and its next word is its least word outside
     S.  When a branch u fails, every candidate below u has failed or been
     dropped, so no code of the target size holds S and u.  A map that fixes
-    S setwise then rules out u's image as well: at the root a failed branch
-    drops its root orbit, and on {0, v} its orbit under the maps that fix
-    {0, v}.  Only words that no code of the target size holds together with
-    S are dropped, so the first code met is still the lex-first.
+    S setwise then rules out u's image as well.  Only words that no code of
+    the target size holds together with S are dropped, so the first code
+    met is still the lex-first.
 
     Both passes also cap the code by first-symbol blocks.  The 5^(n-1)
     words with one first symbol are a contiguous run of the scan order, and
@@ -435,9 +431,11 @@ def _length_tables(n: int) -> tuple:
     """
     words = list(itertools.product(range(5), repeat=n))
     weights = np.array([word_distance(w, (0,) * n) for w in words])
-    digits = np.array(words, dtype=np.intp).reshape(len(words), n)
+    digits = np.array(words, dtype=np.intp)
     place = 5 ** np.arange(n - 1, -1, -1)
-    diff = (digits[None, :, :] - digits[:, None, :]) % 5 @ place
+    diff = shift = (np.arange(5) - np.arange(5)[:, None]) % 5  # [a, b]: b - a in Z_5
+    for _ in range(n - 1):  # one more leading symbol
+        diff = (shift[:, None, :, None] * len(diff) + diff[None, :, None, :]).reshape(5 * len(diff), -1)
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.intp)
     images = digits[:, perms][:, :, None, :] * signs % 5 @ place
@@ -464,9 +462,26 @@ def _max_code_impl(n: int, d):
     run = 5 ** (n - 1)
     blocks = [((1 << run) - 1) << (run * a) for a in range(5)]
     cap = _max_code_impl(n - 1, _normalize_d(n - 1, d))[0] if n > 1 else 1
-    # diff[x, v] is the index of w_v - w_x: column v is the swap x -> v - x
     size, clique = _max_clique_with_zero(_compatibility_rows(n, d), maps, diff, blocks, cap)
     return size, tuple(words[v] for v in clique)
+
+
+def _node_maps(maps, swaps, chosen, parent):
+    """Rows of images of the maps x -> M(x) + t, M a row of maps and t a
+    chosen vertex, that map the chosen vertices onto themselves, or None
+    for the identity alone; x -> x + t is row swaps[t, 0] of the difference
+    table swaps (t = 0 only when swaps is None).  All such maps while at
+    most three are chosen; deeper, the rows of parent that fix the newest."""
+    if len(chosen) > 3:
+        fixing = parent if parent is None else parent[parent[:, chosen[-1]] == chosen[-1]]
+    else:
+        images, rows = maps[:, chosen].tolist(), []
+        for t in chosen if swaps is not None else chosen[:1]:
+            onto = set(swaps[t, chosen].tolist() if t else chosen)  # the chosen set minus t
+            kept = maps[[g for g, image in enumerate(images) if onto.issuperset(image)]]
+            rows.append(swaps[swaps[t, 0], kept] if t else kept)
+        fixing = np.concatenate(rows)
+    return None if fixing is None or len(fixing) < 2 else fixing
 
 
 def _max_clique_with_zero(adj: list, maps: np.ndarray, swaps, blocks: list, cap: int) -> tuple:
@@ -475,16 +490,16 @@ def _max_clique_with_zero(adj: list, maps: np.ndarray, swaps, blocks: list, cap:
     adj[v] is the bitset of the neighbours of v (symmetric, no loops).  Each
     row of the integer array maps is an automorphism of the graph that
     fixes vertex 0, given as the image of every vertex, and swaps is None
-    or a square integer array whose column v is an automorphism that
-    exchanges 0 and v.  Below the root on v the search uses the rows that
-    fix v, and each of them followed by column v of swaps; all of these fix
-    {0, v} setwise.  Any set of automorphisms is sound, and a group drops
-    whole orbits; one identity row and no swaps use no symmetry.  blocks
-    are bitsets of contiguous runs of vertices, in order, that partition
-    them, and no clique meets a block more than cap times; one block of
-    every vertex, capped by their number, prunes nothing.  The cap-first
-    witness pass, the size pass and witness pass after it, and the images
-    they drop are those described in max_code.
+    or the difference table of a Cayley graph: [x, y] is the vertex y - x.
+    The root prunes by all of maps and every other node by the maps that
+    _node_maps finds for it, once one of its branches is done.  Any set of
+    automorphisms is sound, and a group drops whole orbits; one identity
+    row and no swaps use no symmetry.  blocks are bitsets of contiguous
+    runs of vertices, in order, that partition them, and no clique meets a
+    block more than cap times; one block of every vertex, capped by their
+    number, prunes nothing.  The cap-first witness pass, the size pass and
+    witness pass after it, and the images they drop are those described in
+    max_code.
     """
     universe = (1 << len(adj)) - 1
     # bitsets are keyed by their lowest set bit so the hot loops never need
@@ -494,24 +509,19 @@ def _max_clique_with_zero(adj: list, maps: np.ndarray, swaps, blocks: list, cap:
     block_by_bit = {1 << v: b for b, block in enumerate(blocks) for v in range(len(adj)) if block >> v & 1}
     # most a clique can still add from block b on, before counting its words in b
     room = [cap * (len(blocks) - b) for b in range(len(blocks))]
-    limit = cap * len(blocks)
     bits = list(adj_by_bit)  # 1 << v at v
-    pairs = {}
+    # chosen[:depth]: a node's vertices; known[depth - 1]: its maps, ... until needed
+    chosen, known = [0] * len(adj), [maps] + [...] * (len(adj) - 1)
 
-    def fixing_below(low: int, depth: int):
-        """The maps that fix the chosen words once low joins a node at
-        depth: for the root, those that fix {0, low}; deeper, none."""
-        if depth > 1:
-            return None
-        if low not in pairs:
-            v = low.bit_length() - 1
-            fixing = maps[maps[:, v] == v]
-            pairs[low] = fixing if swaps is None else np.vstack([fixing, swaps[:, v][fixing]])
-        return pairs[low]
+    def fixing(depth: int):
+        if known[depth - 1] is ...:
+            known[depth - 1] = _node_maps(maps, swaps, chosen[:depth], fixing(depth - 1) if depth > 3 else None)
+        return known[depth - 1]
 
-    def images(fixing, low: int) -> int:
-        """The bitset of low's images under the rows of fixing."""
-        return sum(map(bits.__getitem__, set(fixing[:, low.bit_length() - 1].tolist())))
+    def images(low: int, depth: int) -> int:
+        """The bitset of low's images under the maps of the node at depth."""
+        rows = fixing(depth)
+        return low if rows is None else sum(map(bits.__getitem__, set(rows[:, low.bit_length() - 1].tolist())))
 
     def colour_classes(pool: int) -> list:
         classes = []
@@ -528,7 +538,7 @@ def _max_clique_with_zero(adj: list, maps: np.ndarray, swaps, blocks: list, cap:
 
     best = 0
 
-    def grow(pool: int, depth: int, fixing) -> None:
+    def grow(pool: int, depth: int) -> None:
         nonlocal best
         best = max(best, depth)
         classes = colour_classes(pool)
@@ -541,14 +551,16 @@ def _max_clique_with_zero(adj: list, maps: np.ndarray, swaps, blocks: list, cap:
                 cls ^= low
                 if not pool & low:
                     continue  # an image of a branch already searched
-                grow(pool & adj_by_bit[low], depth + 1, fixing_below(low, depth))
+                chosen[depth] = low.bit_length() - 1
+                known[depth] = ...
+                grow(pool & adj_by_bit[low], depth + 1)
                 # every clique through the chosen words and an image of low
                 # maps onto one through them and low, which is now searched
-                pool &= ~(low if fixing is None else images(fixing, low))
+                pool &= ~images(low, depth)
 
     taken = [0] * len(blocks)  # chosen vertices per block
 
-    def scan(chosen: list, pool: int, depth: int, fixing) -> bool:
+    def scan(pool: int, depth: int) -> bool:
         if depth == best:
             return True
         # class tops in falling order: the classes whose highest vertex is at
@@ -562,28 +574,27 @@ def _max_clique_with_zero(adj: list, maps: np.ndarray, swaps, blocks: list, cap:
             if depth + len(tops) < best or depth - taken[b] + room[b] < best:
                 return False
             pool ^= low
-            chosen.append(low)
+            chosen[depth] = low.bit_length() - 1
+            known[depth] = ...
             taken[b] += 1
-            if scan(chosen, pool & adj_by_bit[low], depth + 1, fixing_below(low, depth)):
+            if scan(pool & adj_by_bit[low], depth + 1):
                 return True
-            chosen.pop()
             taken[b] -= 1
             # no clique of the target size holds the chosen words and low, so
             # none holds them and an image of low either
-            pool &= ~(low if fixing is None else images(fixing, low))
+            pool &= ~images(low, depth)
         return False
 
-    chosen = [1]
     taken[block_by_bit[1]] = 1
     # a clique that meets the block cap is maximum, so the witness pass
     # aims at the cap first; only when no clique meets it does the size
     # pass find the size for a second witness pass
-    best = limit
-    if not scan(chosen, adj[0], 1, maps):
+    best = cap * len(blocks)
+    if not scan(adj[0], 1):
         best = 0
-        grow(adj[0], 1, maps)
-        scan(chosen, adj[0], 1, maps)
-    return best, [b.bit_length() - 1 for b in chosen]
+        grow(adj[0], 1)
+        scan(adj[0], 1)
+    return best, chosen[:best]
 
 
 def save_certificate(sol: LPSolution, path) -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import typewriter_bounds
-from typewriter_bounds import __version__
+from typewriter_bounds import __version__, verification
 from typewriter_bounds.cli import main
 from typewriter_bounds.construction import read_code_file
 from typewriter_bounds.lpbound import load_certificate, solve_distance_lp
@@ -359,8 +359,13 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_unknown_suite(capsys):
+    have = sorted(verification.SUITES)
     assert main(["verify", "nosuchsuite"]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: unknown suite 'nosuchsuite', have {have}\n"
+    # a known suite named first does not run either
+    assert main(["verify", "scalars", "nosuch"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: unknown suite 'nosuch', have {have}\n")
 
 
 def test_version_flag(capsys):

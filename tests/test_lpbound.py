@@ -1,6 +1,7 @@
 """Distance LP, explicit multiplier certificates, and exact small codes."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -805,6 +806,49 @@ def test_orbit_pruning_matches_singleton_orbits_on_z5_squared(pick):
 @given(pick=st.lists(st.booleans(), min_size=9, max_size=9))
 def test_orbit_pruning_matches_singleton_orbits_on_z5_cubed(pick):
     _orbit_pruning_agrees(3, pick)
+
+
+@functools.lru_cache(maxsize=None)
+def _affine_tables(n):
+    """Z5^n spelled out with no package table: [x, y] of the first is
+    word_distance(w_x, w_y), [a, b] of the second is the index of w_a + w_b,
+    and the third is _map_rows(n)."""
+    words = list(itertools.product(range(5), repeat=n))
+    index = {w: v for v, w in enumerate(words)}
+    dist = np.array([[word_distance(x, y) for y in words] for x in words])
+    plus = np.array([[index[tuple((a + b) % 5 for a, b in zip(x, y))] for y in words] for x in words])
+    return dist, plus, _map_rows(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _keeps_distance(n, g):
+    dist = _affine_tables(n)[0]
+    return np.array_equal(dist[np.ix_(g, g)], dist)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(n=st.integers(1, 3), data=st.data())
+def test_node_maps_fix_the_chosen_words_and_keep_the_distance(n, data):
+    # the maps of each node on one search path, found as the search finds
+    # them: every one maps the chosen set onto itself and keeps every
+    # distance, and while at most three words are chosen they are all of
+    # the 5^n 2^n n! maps x -> M(x) + t that fix the set
+    _, plus, explicit = _affine_tables(n)
+    _, _, diff, maps = lpbound._length_tables(n)
+    rest = data.draw(st.lists(st.integers(1, 5**n - 1), unique=True, max_size=min(6, 5**n - 1)))
+    chosen, rows = [0, *rest], None
+    for depth in range(1, len(chosen) + 1):
+        words = chosen[:depth]
+        rows = lpbound._node_maps(maps, diff, words, rows if depth > 3 else None)
+        used = {tuple(range(5**n))} if rows is None else set(map(tuple, rows.tolist()))
+        for g in used:
+            assert sorted(g[v] for v in words) == sorted(words)
+            assert _keeps_distance(n, g)
+        if depth <= 3:
+            # every (M, t): the images of the chosen words, then those that
+            # are the chosen set again
+            onto = (np.sort(plus[explicit[:, words]], axis=1) == np.sort(words)[:, None]).all(axis=1)
+            assert used == {tuple(plus[explicit[m], t]) for m, t in zip(*np.nonzero(onto))}
 
 
 def test_max_code_matches_the_search_without_symmetry():

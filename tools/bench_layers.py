@@ -27,12 +27,20 @@ every run, outside the timed region:
 The two import cases hash the sorted names of the package's modules that
 the import loaded.
 
-Each case runs REPEATS times, alternating with the reference loop, and each run is
-scaled to reference seconds by the loop's pace on its two sides, as the
-benchmark scales its jobs.  One line per case goes to stdout: minimum and
-median reference seconds, median measured seconds, and the sha256 of the
-case's output, which is the same on every run and changes when a result
-changes.
+Each case runs REPEATS times (the import cases IMPORT_REPEATS times),
+alternating with the reference loop, and each run is scaled to reference
+seconds by the loop's pace on its two sides, as the benchmark scales its
+jobs.  One line per case goes to stdout: minimum and median reference
+seconds, median measured seconds, and the sha256 of the case's output,
+which is the same on every run and changes when a result changes.  A fresh
+interpreter's start-up swings more than the pace corrects, so compare the
+import cases by their minimum.
+
+The two clique-search cases add a line with the nodes of each pass of the
+n = 3 search, in the order the passes ran: the calls to the search's inner
+functions (grow for a size pass, scan for a witness pass), counted with
+sys.setprofile outside the timed runs.  A count does not move with the
+host, so it shows a change in the search that timings blur.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 REPEATS = 7
+IMPORT_REPEATS = 25
 
 
 def clear(*functions) -> None:
@@ -112,9 +121,30 @@ def cases(tb, run, worker) -> dict:
     }
 
 
-def time_case(prepare, body, pace) -> dict:
+def pass_nodes(lp, d) -> list:
+    """[function, nodes] per pass of the cold max_code(3, d) search, in
+    order; a pass starts at each call from the search function itself."""
+    lp.max_code(3, d)  # the searches one length down, which stay cached
+    passes = []
+
+    def count(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in ("grow", "scan") and code.co_filename == lp.__file__:
+            if frame.f_back.f_code.co_name == "_max_clique_with_zero":
+                passes.append([code.co_name, 0])
+            passes[-1][1] += 1
+
+    sys.setprofile(count)
+    try:
+        lp._max_code_impl.__wrapped__(3, lp._normalize_d(3, d))
+    finally:
+        sys.setprofile(None)
+    return passes
+
+
+def time_case(prepare, body, pace, repeats) -> dict:
     paces, seconds, digests = [pace.ref_loop()], [], set()
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         prepare()
         t0 = time.perf_counter()
         out = body()
@@ -142,9 +172,14 @@ def main(argv=None) -> int:
     if src not in Path(tb.__file__).resolve().parents:
         sys.exit(f"typewriter_bounds was imported from {tb.__file__}, not from {src}")
     for name, (prepare, body) in cases(tb, run, worker).items():
-        result = time_case(prepare, body, pace)
+        result = time_case(prepare, body, pace, IMPORT_REPEATS if name.startswith("import_") else REPEATS)
         print(f"{name:14s} ref min {result['ref_min_s']:.4f} s  median {result['ref_median_s']:.4f} s  "
               f"(measured {result['median_s']:.4f} s)  sha256 {result['sha256']}", flush=True)
+        if name.startswith("maxcode_3_"):
+            d = name.rsplit("_", 1)[1]
+            d = float(d) if d == "inf" else int(d)
+            nodes = ", ".join(f"{fn} {count}" for fn, count in pass_nodes(tb.lpbound, d))
+            print(f"{name:14s} nodes per pass: {nodes}", flush=True)
     return 0
 
 
