@@ -122,8 +122,7 @@ def solve_distance_lp(n: int, d) -> LPSolution:
     if res.status != "optimal":
         nanv = (math.nan,) * (n + 1)
         return LPSolution(n, d, nanv, nanv, math.nan, res.status)
-    mu = np.maximum(res.x, 0.0)
-    lam = np.concatenate([[1.0], mu / k0])
+    lam = np.concatenate([[1.0], res.x / k0])
     values = K @ lam
     slack = float(values[d:].max(initial=-math.inf))
     if slack > 1e-7 * max(1.0, float(values[0])):
@@ -165,8 +164,10 @@ def mrrw_certificate(n: int, d: int, t: int, a: float) -> LPSolution:
     is <= 0 for u > a automatically; the multipliers come from Krawtchouk
     orthogonality with weight (q'-1)^u C(n, u) and are then normalized to
     lam_0 = 1.  Positivity of the lam_ell depends on the choice of (t, a)
-    and is left to the caller (see mrrw_params).
+    and is left to the caller (see mrrw_params).  A d that
+    solve_distance_lp refuses is refused with the same ValueError.
     """
+    _normalize_d(n, d)  # refuses what solve_distance_lp refuses
     if not 1 <= t < n:
         raise ValueError(f"degree {t} outside [1, {n - 1}]")
     if not 0.0 < a < d:
@@ -203,10 +204,11 @@ def mrrw_params(n: int, d: int):
     and K_{t+1}(a) keep their signs.  Roots fall with t, so at most one t
     in 1..min(n - 1, n // 2 + 1) qualifies.  Returns (t, a, objective), or
     None when no degree there brackets a (whenever d is above the first
-    root of K_1, about 0.553 n, and at d = 1 for most n >= 29), lam_0 is
-    not positive, or a lam_ell is below -1e-9 max lam.
+    root of K_1, about 0.553 n, at d = 1 for most n >= 29, and at d > n),
+    lam_0 is not positive, or a lam_ell is below -1e-9 max lam.  A d that
+    solve_distance_lp refuses is refused with the same ValueError.
     """
-    a = d - 1e-6
+    a = _normalize_d(n, d) - 1e-6  # inf past d = n, which no degree brackets
     root_next = first_root(n, 1)
     for t in range(1, min(n, n // 2 + 2)):
         root_t, root_next = root_next, first_root(n, t + 1)

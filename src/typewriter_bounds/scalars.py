@@ -66,7 +66,7 @@ def qary_entropy(t: float, q: float) -> float:
     """H_q(t) = t*log2(q-1) - t*log2(t) - (1-t)*log2(1-t), with 0*log 0 = 0."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"entropy argument {t!r} outside [0, 1]")
-    if q <= 1.0:
+    if not q > 1.0:  # refuses NaN too
         raise ValueError(f"alphabet parameter {q!r} must exceed 1")
     s = 0.0
     if t > 0.0:

@@ -3,8 +3,9 @@
 Solves  min c.x  s.t.  A_ub x <= b_ub,  x >= 0  (inequality form only) on a
 plain numpy tableau.  Bland's smallest-index rule is used for both the
 entering and the leaving variable, so the method cannot cycle; the iteration
-cap is only a circuit breaker for numerical breakdown.  Problem sizes here are a
-few hundred rows at most, so no effort is spent on sparsity or pricing.
+cap is only a circuit breaker for numerical breakdown.  One re-solve of the
+final basis against the pristine data gives the point returned.  Problems
+here have a few hundred rows at most: no effort goes to sparsity or pricing.
 """
 
 from __future__ import annotations
@@ -67,7 +68,13 @@ def _iterate(T, basis, allowed):
 
 
 def simplex_solve(c, A_ub, b_ub) -> SimplexResult:
-    """Two-phase simplex for min c.x, A_ub x <= b_ub, x >= 0."""
+    """Two-phase simplex for min c.x, A_ub x <= b_ub, x >= 0.
+
+    "optimal" means phase 2 found no improving column.  Pivot error washes
+    out the tableau on badly scaled columns, so the final basis is re-solved
+    once against the pristine data; that point is returned if it is primal
+    feasible to _FEAS_TOL relative, else the tableau's, clamped at 0 either way.
+    """
     c = np.asarray(c, dtype=float)
     nstruct = c.size
     A = np.atleast_2d(np.asarray(A_ub, dtype=float))
@@ -76,16 +83,15 @@ def simplex_solve(c, A_ub, b_ub) -> SimplexResult:
     if A.shape[1] != nstruct:
         raise ValueError(f"constraint width {A.shape[1]} != len(c) = {nstruct}")
 
-    # one slack column per row, then one artificial per row
-    full = np.hstack([A, np.eye(m)])
+    # one slack column per row, then one artificial per row; a row with b < 0
+    # is negated, but not its artificial, so the artificials form the basis
+    full = np.hstack([A, np.eye(m), np.eye(m)])
     neg = b < 0
-    full[neg] *= -1.0
+    full[neg, : nstruct + m] *= -1.0
     b = np.where(neg, -b, b)
     nvar = nstruct + m
-    art = np.eye(m)
     T = np.zeros((m + 1, nvar + m + 1))
-    T[:m, :nvar] = full
-    T[:m, nvar : nvar + m] = art
+    T[:m, :-1] = full
     T[:m, -1] = b
     basis = np.arange(nvar, nvar + m)
 
@@ -114,39 +120,16 @@ def simplex_solve(c, A_ub, b_ub) -> SimplexResult:
     for i in range(m):
         if basis[i] < nstruct:
             T[-1] -= c[basis[i]] * T[i]
-
-    # Iterated pivot error washes out the tableau on badly scaled columns, so
-    # after each optimal sweep the basis is refactorized against the pristine
-    # data: exact basic solution and duals decide whether to accept or resume.
-    A0 = np.hstack([full, art])
-    cext = np.zeros(nvar + m)
-    cext[:nstruct] = c
-    total = it1
-    for _ in range(5):
-        status, it2 = _iterate(T, basis, range(nvar))
-        total += it2
-        if status != "optimal":
-            return SimplexResult(status, None, None, total)
-        try:
-            B = A0[:, basis]
-            xb = np.linalg.solve(B, b)
-            duals = np.linalg.solve(B.T, cext[basis])
-        except np.linalg.LinAlgError:
-            break
-        if xb.min() < -1e-7 * max(1.0, float(np.abs(xb).max())):
-            break
-        reduced = cext - A0.T @ duals
-        if reduced[:nvar].min() >= -_TOL * max(1.0, float(np.abs(c).max())):
-            x = np.zeros(nvar + m)
-            x[basis] = np.maximum(xb, 0.0)
-            xs = x[:nstruct]
-            return SimplexResult("optimal", xs, float(c @ xs), total)
-        T[:m, :-1] = np.linalg.solve(B, A0)
-        T[:m, -1] = xb
-        T[-1, :-1] = reduced
-        T[-1, -1] = -float(cext[basis] @ xb)
-
+    status, it2 = _iterate(T, basis, range(nvar))
+    if status != "optimal":
+        return SimplexResult(status, None, None, it1 + it2)
     x = np.zeros(nvar + m)
     x[basis] = T[:m, -1]
-    xs = x[:nstruct]
-    return SimplexResult("optimal", xs, float(c @ xs), total)
+    try:
+        xb = np.linalg.solve(full[:, basis], b)
+        if xb.min() >= -_FEAS_TOL * max(1.0, float(np.abs(xb).max())):
+            x[basis] = xb
+    except np.linalg.LinAlgError:
+        pass
+    xs = np.maximum(x[:nstruct], 0.0)
+    return SimplexResult("optimal", xs, float(c @ xs), it1 + it2)

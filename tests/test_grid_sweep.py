@@ -18,7 +18,8 @@ SWEEP = Path(__file__).resolve().parents[1] / "tools" / "grid_sweep.py"
 # (n, d): (LP status, sha256 of the JSON line); every pair has an MRRW certificate
 PINNED = {
     (10, 3): ("optimal", "514d2e58d895808fd15c713ce847a24b9912b84e5e7fc45cf5624a19870b3b1e"),
-    # reaches the unconfirmed "optimal" fall-through at the end of simplex_solve
+    # its final basis has a reduced cost below -1e-9 when re-solved, so this
+    # "optimal" answer awaits an exact proof (ROADMAP item 16)
     (28, 3): ("optimal", "2f9581f2fcb07197b64b17d44049ecfcaff059aba155e087cf50e0c5c0ed379b"),
     (37, 4): ("infeasible", "39f80bdc9b7998b8170f015b8e8eccc2e7473f0a139531428fe95111f5567980"),
     (31, 4): ("numeric-failure", "4da6d981bf36dcbe10c54aa625f448b75888f93ac978d66ba45e2ec4590ead19"),

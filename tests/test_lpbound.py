@@ -198,6 +198,20 @@ def test_mrrw_certificate_refuses_a_nan_lam0():
                 mrrw_certificate(10, 3, 2, a)
 
 
+@pytest.mark.parametrize("bad", [2.5, 0, math.nan])
+def test_mrrw_entry_points_refuse_what_solve_distance_lp_refuses(bad):
+    # a certificate at d = 2.5 would be saved as "d 2.5", which
+    # load_certificate refuses; 0 and NaN would read as "no degree brackets a"
+    message = f"^distance {bad} must be a positive integer or inf$"
+    with pytest.raises(ValueError, match=message):
+        mrrw_params(10, bad)
+    with pytest.raises(ValueError, match=message):
+        mrrw_certificate(10, bad, 3, 2.4)
+    # past d = n, as at inf, no degree brackets a
+    assert mrrw_params(10, 11) is None
+    assert mrrw_params(10, math.inf) is None
+
+
 def test_kraw_table_is_built_once_and_read_only():
     table = _kraw_table(6)
     assert _kraw_table(6) is table

@@ -38,6 +38,14 @@ def test_qary_entropy_peaks_at_uniform():
         assert qary_entropy(peak - 0.05, q) < math.log2(q)
 
 
+@pytest.mark.parametrize(
+    "t, q", [(-0.1, 2.0), (1.5, 2.0), (math.nan, 2.0), (0.5, 1.0), (0.5, 0.5), (0.5, math.nan)]
+)
+def test_qary_entropy_refuses_arguments_out_of_range(t, q):
+    with pytest.raises(ValueError):
+        qary_entropy(t, q)
+
+
 def test_log2_binomial_small_and_large():
     assert log2_binomial(5, 2) == pytest.approx(math.log2(10.0), abs=1e-12)
     assert log2_binomial(10, 0) == 0.0

@@ -67,3 +67,25 @@ def test_solution_is_feasible():
     assert res.status == "optimal"
     assert (res.x >= -1e-12).all()
     assert (A @ res.x <= b + 1e-9).all()
+
+
+def test_artificial_left_basic_at_zero_is_driven_out():
+    # x <= 1 and x >= 1: phase 1 ends with the second row's artificial basic
+    # at zero, and only the drive-out pivot keeps phase 2 from moving x to 0
+    res = simplex_solve([1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -1.0])
+    assert res.status == "optimal"
+    assert res.x.tolist() == [1.0]
+    assert res.objective == 1.0
+
+
+def test_singular_re_solve_returns_the_clamped_tableau_point(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    # min x1 s.t. 3 x1 <= 0.1 and 0.3 x2 <= 0.2 x1: the only optimum is 0, and
+    # the tableau's pivots leave x2 at -3.5e-18
+    res = simplex_solve([1.0, 0.0], A_ub=[[3.0, 0.0], [-0.2, 0.3]], b_ub=[0.1, 0.0])
+    assert res.status == "optimal"
+    assert res.x.tolist() == [0.0, 0.0]
+    assert res.objective == 0.0
