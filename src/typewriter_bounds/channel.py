@@ -10,10 +10,13 @@ can produce it ("received minus sent is 0 or 1 (mod 5)"), and each trial
 ANDs one packed row per coordinate.  Raw Philox words are drawn in a fixed
 per-trial layout, which makes results independent of batch size, and a
 trial compares the sent word's rank among the plausible ones with the tie
-pick, so it never lists the candidates.  A short code has few (message,
-noise pattern) pairs, m 2^n for m words of length n; when they fit in one
-batch and number no more than the trials, each pair is decoded once into a
-table of ranks and counts, and a trial only looks its pair up.
+pick, so it never lists the candidates.  Trials run in blocks cut to a
+1 MiB working-memory budget, so a block stays in cache.  A short code has
+few (message, noise pattern) pairs, m 2^n for m words of length n; when
+they fit in the caller's batch and number no more than the trials, each
+pair is decoded once, block by block, into a table of ranks and counts,
+and a trial only looks its pair up.  No error count depends on the batch,
+the block size or the choice of decoder.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ __all__ = [
 ]
 
 _WORDS_PER_TRIAL = 4  # message, noise bits, tie break, reserved
-_BATCH_BYTES = 1 << 24  # working memory of one batch, by the per-trial bound
+_BATCH_BYTES = 1 << 20  # working memory of one block, by the per-trial bound
+_TABLE_PAIRS = 1 << 20  # most (message, noise) pairs decoded once: 16 MiB
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
@@ -58,7 +62,7 @@ def _plausible_table(code: np.ndarray) -> np.ndarray:
     Rows are packed little-endian (codeword j is bit j % 8 of byte j // 8) and
     the padding bits past m are clear.
     """
-    fits = (np.arange(5)[None, :, None] - code.T[:, None, :]) % 5 <= 1
+    fits = (np.arange(5, dtype=np.int8)[None, :, None] - code.T[:, None, :]) % 5 <= 1
     return np.packbits(fits, axis=-1, bitorder="little")
 
 
@@ -117,15 +121,16 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
     fixed, so any batch size gives the identical error count.  A trial errs
     when the sent word is not the (tie mod count)-th plausible codeword in
     code order.  Memory is at most about 4 ceil(m/8) + 128 bytes per trial of
-    a batch, whatever the length n, and a batch is cut to the trials whose
-    bound fits in 16 MiB.
+    a block, whatever the length n, and each batch runs in blocks cut to the
+    trials whose bound fits in 1 MiB, so a block stays in cache.
 
-    When m 2^n is at most both the (cut) batch and the trials, the decoder
-    runs once on all m 2^n (message, noise pattern) pairs instead: a rank
-    and a count per pair, 16 bytes each, at most one batch's worth and no
-    more than the trials would have decoded.  Trial t then errs when
-    rank[key] != tie mod count[key], key = (message << n) | (noise bits
-    mod 2^n), which is the same decision, so the error count is unchanged.
+    When m 2^n is at most both the caller's batch and the trials (and at
+    most 2^20), the decoder runs once on all m 2^n (message, noise pattern)
+    pairs instead, one block of pairs at a time: a rank and a count per
+    pair, 16 bytes each, no more pairs than the trials would have decoded.
+    Trial t then errs when rank[key] != tie mod count[key], key =
+    (message << n) | (noise bits mod 2^n), which is the same decision, so
+    no error count depends on the batch, the block size or the decoder.
     """
     codearr = _symbols(code, "code")
     if codearr.ndim != 2 or codearr.shape[0] == 0:
@@ -142,20 +147,27 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
         raise ValueError(f"batch {batch} must be at least 1")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed {seed} is outside [0, 2^128)")
-    batch = min(batch, max(1, _BATCH_BYTES // (4 * math.ceil(m / 8) + 128)))
+    decode_once = m << n <= min(batch, trials, _TABLE_PAIRS)
+    block = min(batch, max(1, _BATCH_BYTES // (4 * math.ceil(m / 8) + 128)))
     table = _plausible_table(codearr)
     columns = codearr.T.astype(np.uint64)
     bitgen = np.random.Philox(key=seed)
-    decode_once = m << n <= min(batch, trials)
     if decode_once:
-        patterns = np.arange(1 << n, dtype=np.uint64)
-        messages = np.arange(m).repeat(1 << n)
-        rank, count = _rank_and_count(table, columns, messages, np.tile(patterns, m))
-        low_bits = patterns[-1]
+        # uint64, as the per-trial decoder returns them: a signed count would
+        # make raw % count a float64 and change the tie picks
+        rank = np.empty(m << n, dtype=np.uint64)
+        count = np.empty_like(rank)
+        low_bits = np.uint64((1 << n) - 1)
+        for start in range(0, m << n, block):
+            stop = min(start + block, m << n)
+            keys = np.arange(start, stop, dtype=np.uint64)
+            msg = (keys >> np.uint64(n)).astype(np.intp)
+            noise = keys & low_bits
+            rank[start:stop], count[start:stop] = _rank_and_count(table, columns, msg, noise)
     errors = 0
     done = 0
     while done < trials:
-        b = min(batch, trials - done)
+        b = min(block, trials - done)
         raw = bitgen.random_raw(_WORDS_PER_TRIAL * b).reshape(b, _WORDS_PER_TRIAL)
         msg = raw[:, 0] % np.uint64(m)
         if decode_once:

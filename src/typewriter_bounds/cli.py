@@ -259,7 +259,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--code", required=True)
     sp.add_argument("--trials", type=int, default=100000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--batch", type=int, default=1 << 16)
+    sp.add_argument("--batch", type=int, default=1 << 16,
+                    help="trials per batch (default 65536): a code whose m 2^n (message, noise) "
+                    "pairs fit in both the batch and the trials decodes each pair once; a batch "
+                    "runs in blocks of at most 1 MiB; no error count depends on either")
     sp.add_argument("--output", default="-")
     sp.set_defaults(func=_cmd_simulate)
 

@@ -125,24 +125,65 @@ def test_decoding_each_pair_once_matches_decoding_each_trial(m, n, seed, trials_
         assert pairs not in decoded
 
 
+@pytest.mark.parametrize(
+    "code, trials, seed",
+    [
+        ([(0, 0, 0), (1, 1, 0), (0, 1, 1), (3, 3, 3), (1, 0, 0)], 3000, 5),
+        # 9 words of length 10: 9216 pairs, more than one 1 MiB block of
+        # 7710 trials and fewer than the default batch of 2^16
+        (np.random.default_rng(6).integers(0, 5, size=(9, 10)), 10_000, 11),
+    ],
+    ids=["5x3", "9x10"],
+)
+def test_monte_carlo_in_tiny_blocks(code, trials, seed):
+    # a budget of 400 bytes cuts blocks of 2 or 3 trials; the count stays,
+    # and the decode-once table, chosen on the caller's batch, is still
+    # built, one block of pairs per call
+    pairs = len(code) << len(code[0])
+    decode = channel._rank_and_count
+    calls = []
+
+    def spy(table, columns, msg, noise):
+        calls.append(len(msg))
+        return decode(table, columns, msg, noise)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channel, "_rank_and_count", spy)
+        errors = monte_carlo_pe(code, trials, seed).errors
+        assert sum(calls) == pairs
+        calls.clear()
+        mp.setattr(channel, "_BATCH_BYTES", 400)
+        assert monte_carlo_pe(code, trials, seed).errors == errors
+        assert sum(calls) == pairs and max(calls) <= 3 and len(calls) > 1
+    assert errors == _replayed_errors([tuple(w) for w in np.asarray(code).tolist()], trials, seed)
+
+
+def _memory_bound(m, n, pairs):
+    """The 1 MiB block budget plus the code's own tables: n 5 ceil(m/8)
+    bytes of bitsets, the code as int8 symbols and uint64 columns (9 bytes a
+    symbol), and 16 bytes per decode-once pair."""
+    return 2**20 + n * 5 * math.ceil(m / 8) + 9 * m * n + 16 * pairs
+
+
 def test_monte_carlo_memory_cap():
-    # the criterion-10 code at the default batch of 2^16: the documented
-    # 4 ceil(m/8) + 128 bytes per trial come to 12 MiB at m = 125 (the
-    # traced peak is 10.2 MiB)
+    # the criterion-10 code (125 words of length 4, 2000 pairs decoded once)
+    # at the default batch of 2^16: the bound is 1.03 MiB and the traced
+    # peak 0.49 MiB
     code = code_from_generator(StructuredGenerator(2, 1, [[1, 2]]))
-    m = len(code)
+    m, n = np.shape(code)
     tracemalloc.start()
     try:
         monte_carlo_pe(code, 1 << 17, seed=7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= (4 * math.ceil(m / 8) + 128) * 2**16, peak / 2**20
+    assert peak <= _memory_bound(m, n, m << n), peak / 2**20
 
 
 def test_monte_carlo_caps_the_default_batch_of_a_large_code():
     # 2000 words: one default batch of all 2^15 trials would need 35 MiB by
-    # the per-trial bound, so it is cut to the trials that fit 16 MiB
+    # the per-trial bound, so it runs in blocks of the 929 trials that fit
+    # 1 MiB; the bound is 1.18 MiB and the traced peak 1.06 MiB
     code = np.random.default_rng(4).integers(0, 5, size=(2000, 10))
     tracemalloc.start()
     try:
@@ -150,7 +191,7 @@ def test_monte_carlo_caps_the_default_batch_of_a_large_code():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1 << 24, peak / 2**20
+    assert peak <= _memory_bound(2000, 10, 0), peak / 2**20
     assert errors == monte_carlo_pe(code, 1 << 15, seed=9, batch=1000).errors
 
 

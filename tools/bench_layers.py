@@ -1,16 +1,16 @@
-"""Per-layer timings of the certify path, the clique search and the
-package import at fixed work.
+"""Per-layer timings of the certify path, the clique search, the Monte
+Carlo decoder and the package import at fixed work.
 
     python3 tools/bench_layers.py [--tree PATH]
 
 The package is imported from PATH/src (default: this checkout), so a
 `git archive` of another revision unpacked at PATH is timed the same way;
 the tool stops if the package it imports lies anywhere else.
-The benchmark's reference loop (perfbench/pace.py), certify job list
-(perfbench/run.py) and certify runner (perfbench/worker.py) are loaded
-read-only from this checkout's perfbench/, so both trees run the same jobs
-against the same reference.  Cases, each with its caches cleared before
-every run, outside the timed region:
+The benchmark's reference loop (perfbench/pace.py), certify and codes job
+lists (perfbench/run.py) and certify runner (perfbench/worker.py) are
+loaded read-only from this checkout's perfbench/, so both trees run the
+same jobs against the same reference.  Cases, each with its caches cleared
+before every run, outside the timed region:
 
   first_root       first_root(64, ell) for ell = 1..64, cold
   mrrw_params      mrrw_params(64, 20), Krawtchouk table and roots cold
@@ -20,12 +20,19 @@ every run, outside the timed region:
   maxcode_3_2      max_code(3, 2), with the length tables and the searches
                    at every length cleared
   maxcode_3_inf    max_code(3, inf), cleared likewise
+  mc_criterion10   monte_carlo_pe on the criterion-10 code (125 words of
+                   length 4) at 2^16 trials, the codes job of seed 1
+  mc_256x10        monte_carlo_pe on the 256 x 10 code at 10^4 trials with
+                   batch 2048, the codes job of seed 1
+  mc_pentagon      monte_carlo_pe on README's code, max_code(2, inf), at
+                   10^6 trials and seed 0, as README's simulate runs it
   import_package   a fresh `python -c "import typewriter_bounds"`, with
                    PATH/src first on PYTHONPATH, one process at a time
   import_cli       a fresh `python -c "import typewriter_bounds.cli"`, likewise
 
 The two import cases hash the sorted names of the package's modules that
-the import loaded.
+the import loaded.  numpy.random is imported before any case, so the
+Monte Carlo cases time the decoder and not numpy's lazy import of it.
 
 Each case runs REPEATS times (the import cases IMPORT_REPEATS times),
 alternating with the reference loop, and each run is scaled to reference
@@ -40,7 +47,9 @@ The two clique-search cases add a line with the nodes of each pass of the
 n = 3 search, in the order the passes ran: the calls to the search's inner
 functions (grow for a size pass, scan for a witness pass), counted with
 sys.setprofile outside the timed runs.  A count does not move with the
-host, so it shows a change in the search that timings blur.
+host, so it shows a change in the search that timings blur.  The Monte
+Carlo cases add a line with the peak that tracemalloc traces over one
+untimed call and the call's error count, which is also the case's output.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,6 +83,7 @@ def cases(tb, run, worker) -> dict:
     and the body returns the output that is hashed."""
     lp = tb.lpbound
     jobs = run.certify_jobs(1)
+    simulate_jobs = [job for job in run.codes_jobs(1) if job["kind"] == "simulate"]
 
     def lp_case(n, d):
         def solve():
@@ -85,6 +96,18 @@ def cases(tb, run, worker) -> dict:
             size, words = lp.max_code(3, d)
             return [size, [list(w) for w in words]]
         return (lambda: clear(lp._max_code_impl, lp._length_tables), search)
+
+    def monte_carlo(code, job):
+        batch = {"batch": job["batch"]} if "batch" in job else {}
+
+        def simulate():
+            return tb.channel.monte_carlo_pe(code, job["trials"], job["seed"], **batch).errors
+        return (lambda: None, simulate)
+
+    criterion10 = next(job for job in simulate_jobs if "generator" in job
+                       and job["generator"][2] == run.CRITERION_10_INNER)
+    long_code = next(job for job in simulate_jobs if len(job.get("words", ())) == 256)
+    gen = tb.construction.StructuredGenerator(*criterion10["generator"])
 
     def mrrw():
         t, a, objective = lp.mrrw_params(64, 20)
@@ -116,6 +139,9 @@ def cases(tb, run, worker) -> dict:
                           lambda: [worker.run_certify(job, tb) for job in jobs]),
         "maxcode_3_2": max_code(2),
         "maxcode_3_inf": max_code(float("inf")),
+        "mc_criterion10": monte_carlo(tb.construction.code_from_generator(gen), criterion10),
+        "mc_256x10": monte_carlo(long_code["words"], long_code),
+        "mc_pentagon": monte_carlo(lp.max_code(2, float("inf"))[1], {"trials": 10**6, "seed": 0}),
         "import_package": fresh_import("typewriter_bounds"),
         "import_cli": fresh_import("typewriter_bounds.cli"),
     }
@@ -142,6 +168,16 @@ def pass_nodes(lp, d) -> list:
     return passes
 
 
+def traced_peak(body) -> tuple:
+    """(peak bytes that tracemalloc traces over one call of body, its output)."""
+    tracemalloc.start()
+    try:
+        out = body()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
 def time_case(prepare, body, pace, repeats) -> dict:
     paces, seconds, digests = [pace.ref_loop()], [], set()
     for _ in range(repeats):
@@ -166,6 +202,7 @@ def main(argv=None) -> int:
     src = args.tree.resolve() / "src"
     sys.path.insert(0, str(src))
     sys.path.insert(0, str(PERFBENCH))
+    import numpy.random  # noqa: F401  numpy imports it lazily, on first use
     import typewriter_bounds as tb
     import pace, run, worker
 
@@ -180,6 +217,9 @@ def main(argv=None) -> int:
             d = float(d) if d == "inf" else int(d)
             nodes = ", ".join(f"{fn} {count}" for fn, count in pass_nodes(tb.lpbound, d))
             print(f"{name:14s} nodes per pass: {nodes}", flush=True)
+        if name.startswith("mc_"):
+            peak, errors = traced_peak(body)
+            print(f"{name:14s} traced peak {peak / 2**20:.2f} MiB, errors {errors}", flush=True)
     return 0
 
 
