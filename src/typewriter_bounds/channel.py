@@ -6,16 +6,17 @@ among the 2^n words reachable from the input, so maximum-likelihood
 decoding is a uniform choice among the codewords that could have produced
 the received word.  The simulator decodes whole batches: a table per code
 holds, for each coordinate and received symbol, the bitset of codewords that
-can produce it ("received minus sent is 0 or 1 (mod 5)"), and each trial
-ANDs one packed row per coordinate.  Raw Philox words are drawn in a fixed
-per-trial layout, which makes results independent of batch size, and a
-trial compares the sent word's rank among the plausible ones with the tie
-pick, so it never lists the candidates.  Trials run in blocks cut to a
-1 MiB working-memory budget, so a block stays in cache.  A short code has
-few (message, noise pattern) pairs, m 2^n for m words of length n; when
-they fit in the caller's batch and number no more than the trials, each
-pair is decoded once, block by block, into a table of ranks and counts,
-and a trial only looks its pair up.  No error count depends on the batch,
+can produce it ("received minus sent is 0 or 1 (mod 5)"), packed into
+64-bit words, and each trial ANDs one row of words per coordinate.  Raw
+Philox words are drawn in a fixed per-trial layout, which makes results
+independent of batch size, and a trial compares the sent word's rank among
+the plausible ones, counted by np.bitwise_count, with the tie pick, so it
+never lists the candidates.  Trials run in blocks cut to a 1 MiB
+working-memory budget, so a block stays in cache.  A short code has few
+(message, noise pattern) pairs, m 2^n for m words of length n; when they
+fit in the caller's batch and number no more than the trials, each pair is
+decoded once, block by block, into a table of ranks and counts, and a
+trial only looks its pair up.  No error count depends on the batch,
 the block size or the choice of decoder.
 """
 
@@ -38,7 +39,6 @@ __all__ = [
 _WORDS_PER_TRIAL = 4  # message, noise bits, tie break, reserved
 _BATCH_BYTES = 1 << 20  # working memory of one block, by the per-trial bound
 _TABLE_PAIRS = 1 << 20  # most (message, noise) pairs decoded once: 16 MiB
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 def confusion_prob(x, y) -> float:
@@ -55,15 +55,24 @@ def confusion_prob(x, y) -> float:
     return 2.0 ** -(len(tuple(x)) + d)
 
 
+def _words(bits: np.ndarray) -> np.ndarray:
+    """Pack the last axis of a bool array into little-endian uint64 words:
+    bit j goes to bit j % 64 of word j // 64, and the padding bits are clear."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    padded = np.zeros((*packed.shape[:-1], 8 * -(-bits.shape[-1] // 64)), dtype=np.uint8)
+    padded[..., :packed.shape[-1]] = packed
+    return padded.view("<u8")
+
+
 def _plausible_table(code: np.ndarray) -> np.ndarray:
-    """(n, 5, ceil(m/8)) uint8: bit j of [c, s] is set when codeword j can
+    """(n, 5, ceil(m/64)) uint64: bit j of [c, s] is set when codeword j can
     produce symbol s at coordinate c, i.e. (s - code[j, c]) mod 5 is 0 or 1.
 
-    Rows are packed little-endian (codeword j is bit j % 8 of byte j // 8) and
-    the padding bits past m are clear.
+    Codeword j is bit j % 64 of word j // 64, and the padding bits past m
+    are clear.
     """
     fits = (np.arange(5, dtype=np.int8)[None, :, None] - code.T[:, None, :]) % 5 <= 1
-    return np.packbits(fits, axis=-1, bitorder="little")
+    return _words(fits)
 
 
 def _rank_and_count(table: np.ndarray, columns: np.ndarray, msg: np.ndarray, noise: np.ndarray):
@@ -75,8 +84,8 @@ def _rank_and_count(table: np.ndarray, columns: np.ndarray, msg: np.ndarray, noi
     coordinate c.  Memory is at most about 4 ceil(m/8) + 128 bytes a pair.
     """
     b = len(msg)
-    rows = np.empty((b, table.shape[2]), dtype=np.uint8)
-    rows[:] = np.packbits(np.ones(columns.shape[1], dtype=bool), bitorder="little")
+    rows = np.empty((b, table.shape[2]), dtype=np.uint64)
+    rows[:] = _words(np.ones(columns.shape[1], dtype=bool))
     scratch = np.empty_like(rows)
     one = np.uint64(1)
     # the codewords that can produce each received word, one table lookup
@@ -88,14 +97,14 @@ def _rank_and_count(table: np.ndarray, columns: np.ndarray, msg: np.ndarray, noi
         del received
     # the rank step below is the memory peak; hold no lookup buffer through it
     del scratch
-    # rank of msg among the plausible words: whole bytes below its byte,
-    # then the bits below it within that byte
-    pop = _POPCOUNT[rows]
+    # rank of msg among the plausible words: whole words below its word,
+    # then the bits below it within that word
+    pop = np.bitwise_count(rows)
     count = pop.sum(axis=1)
-    byte = msg >> 3
-    low = rows[np.arange(b), byte] & ((1 << (msg & 7)) - 1)
-    pop *= np.arange(rows.shape[1]) < byte[:, None]
-    return pop.sum(axis=1) + _POPCOUNT[low], count
+    word = msg >> 6
+    low = rows[np.arange(b), word] & ((one << (msg & 63).astype(np.uint64)) - one)
+    pop *= np.arange(rows.shape[1]) < word[:, None]
+    return pop.sum(axis=1) + np.bitwise_count(low), count
 
 
 @dataclass(frozen=True)
@@ -120,9 +129,12 @@ def monte_carlo_pe(code, trials: int, seed: int, batch: int = 1 << 16) -> SimRes
     noise bits (one per coordinate), tie break, one reserved.  The layout is
     fixed, so any batch size gives the identical error count.  A trial errs
     when the sent word is not the (tie mod count)-th plausible codeword in
-    code order.  Memory is at most about 4 ceil(m/8) + 128 bytes per trial of
-    a block, whatever the length n, and each batch runs in blocks cut to the
-    trials whose bound fits in 1 MiB, so a block stays in cache.
+    code order.  The decoder ANDs one row of 64-bit words per coordinate,
+    each bit a codeword, and counts the plausible words and the sent word's
+    rank among them with np.bitwise_count.  Memory is at most about
+    4 ceil(m/8) + 128 bytes per trial of a block, whatever the length n, and
+    each batch runs in blocks cut to the trials whose bound fits in 1 MiB,
+    so a block stays in cache.
 
     When m 2^n is at most both the caller's batch and the trials (and at
     most 2^20), the decoder runs once on all m 2^n (message, noise pattern)

@@ -396,6 +396,20 @@ def max_code(n: int, d):
     the target size holds together with S are dropped, so the first code
     met is still the lex-first.
 
+    Both passes also skip dominated branches.  A node keeps the candidates
+    C(u) = pool & adj[u] of each branch u it has searched (size pass) or
+    that failed (witness pass), and drops a word w without a search when
+    C(w) is a subset of one of them.  A code of the chosen words S, w and
+    K, K a subset of C(w), gives one of the same size of S, u and K: u is
+    compatible with all of C(u), which holds K, and u is not in K.  In the
+    size pass u's branch has been searched against the best size, so w's
+    cannot beat it.  In the witness pass a code of the target size that
+    holds S and w is S, w and words of C(w), as above (w is its least word
+    outside S, and no later word of it was dropped), so it would give one
+    that holds S and u, which u's failure rules out.  Only such words are
+    dropped, so the first code met is still the lex-first.  The sets live
+    as long as their node, so at most depth times branching are held.
+
     Both passes also cap the code by first-symbol blocks.  The 5^(n-1)
     words with one first symbol are a contiguous run of the scan order, and
     two of them are exactly as far apart as their suffixes, since equal
@@ -409,6 +423,12 @@ def max_code(n: int, d):
     one, so at (2, 2) and (3, 2) this pass alone returns the answer.  Only
     when it finds none do the size pass and a second witness pass run.
     """
+    # True == 1, so a bool would share an integer's cache entry
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, not {n!r}")
+    if isinstance(d, (bool, np.bool_)):
+        raise ValueError(f"d must be an integer or inf, not {d!r}")
+    n = int(n)
     if n < 1:
         raise ValueError("need n >= 1")
     if 5**n > 500:
@@ -500,8 +520,9 @@ def _max_clique_with_zero(adj: list, maps: np.ndarray, swaps, blocks: list, cap:
     runs of vertices, in order, that partition them, and no clique meets a
     block more than cap times; one block of every vertex, capped by their
     number, prunes nothing.  The cap-first witness pass, the size pass and
-    witness pass after it, and the images they drop are those described in
-    max_code.
+    witness pass after it, the images they drop and the dominated branches
+    they skip (a vertex whose candidates are a subset of those of a branch
+    searched or failed at the same node) are those described in max_code.
     """
     universe = (1 << len(adj)) - 1
     # bitsets are keyed by their lowest set bit so the hot loops never need
@@ -544,6 +565,7 @@ def _max_clique_with_zero(adj: list, maps: np.ndarray, swaps, blocks: list, cap:
         nonlocal best
         best = max(best, depth)
         classes = colour_classes(pool)
+        searched = []  # the candidates of each branch already searched
         for k in range(len(classes), 0, -1):
             cls = classes[k - 1]
             while cls:
@@ -553,12 +575,19 @@ def _max_clique_with_zero(adj: list, maps: np.ndarray, swaps, blocks: list, cap:
                 cls ^= low
                 if not pool & low:
                     continue  # an image of a branch already searched
-                chosen[depth] = low.bit_length() - 1
-                known[depth] = ...
-                grow(pool & adj_by_bit[low], depth + 1)
-                # every clique through the chosen words and an image of low
-                # maps onto one through them and low, which is now searched
-                pool &= ~images(low, depth)
+                child = pool & adj_by_bit[low]
+                for prev in searched:
+                    if not child & ~prev:
+                        pool ^= low  # dominated by a branch already searched
+                        break
+                else:
+                    chosen[depth] = low.bit_length() - 1
+                    known[depth] = ...
+                    grow(child, depth + 1)
+                    searched.append(child)
+                    # every clique through the chosen words and an image of low
+                    # maps onto one through them and low, which is now searched
+                    pool &= ~images(low, depth)
 
     taken = [0] * len(blocks)  # chosen vertices per block
 
@@ -568,6 +597,7 @@ def _max_clique_with_zero(adj: list, maps: np.ndarray, swaps, blocks: list, cap:
         # class tops in falling order: the classes whose highest vertex is at
         # least v colour the candidates from v up, a bound that falls with v
         tops = sorted((cls.bit_length() for cls in colour_classes(pool)), reverse=True)
+        failed = []  # the candidates of each branch that failed
         while pool:
             low = pool & -pool
             while tops[-1] < low.bit_length():
@@ -576,12 +606,16 @@ def _max_clique_with_zero(adj: list, maps: np.ndarray, swaps, blocks: list, cap:
             if depth + len(tops) < best or depth - taken[b] + room[b] < best:
                 return False
             pool ^= low
+            child = pool & adj_by_bit[low]
+            if failed and any(not child & ~prev for prev in failed):
+                continue  # dominated by a branch that failed
             chosen[depth] = low.bit_length() - 1
             known[depth] = ...
             taken[b] += 1
-            if scan(pool & adj_by_bit[low], depth + 1):
+            if scan(child, depth + 1):
                 return True
             taken[b] -= 1
+            failed.append(child)
             # no clique of the target size holds the chosen words and low, so
             # none holds them and an image of low either
             pool &= ~images(low, depth)

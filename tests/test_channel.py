@@ -93,6 +93,19 @@ def test_monte_carlo_matches_the_replay_across_byte_boundaries(m, n, seed, batch
     assert monte_carlo_pe(code, 25, seed, batch=batch).errors == _replayed_errors(code, 25, seed)
 
 
+@pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 129])
+def test_monte_carlo_matches_the_replay_at_word_edges(m):
+    # codeword j is bit j % 64 of word j // 64 of a row, so these sizes put
+    # the last codeword at either side of a word edge; length 3 with
+    # batch 16 decodes each trial, and length 2 (4 m pairs, no more than
+    # the trials) decodes each pair once
+    for n, trials, batch in ((3, 300, 16), (2, 4 * m + 7, 1 << 16)):
+        code = [tuple(w) for w in np.random.default_rng(m + n).integers(0, 5, size=(m, n)).tolist()]
+        errors = _replayed_errors(code, trials, m)
+        assert errors > 0
+        assert monte_carlo_pe(code, trials, m, batch=batch).errors == errors, (m, n)
+
+
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(
     m=st.integers(1, 40),

@@ -694,6 +694,37 @@ def test_block_cap_keeps_the_lex_first_clique(nv, density, seed, slack, plant):
         assert got[0] == cap * len(blocks) == len(planted)
 
 
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(
+    nv=st.integers(1, 6),
+    copies=st.lists(st.integers(1, 3), min_size=6, max_size=6),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dominated_branches_keep_the_lex_first_clique(nv, copies, density, seed):
+    # a blown-up graph: each vertex of a random graph becomes 1-3 pairwise
+    # non-adjacent copies with its neighbourhood, in shuffled order, so many
+    # branches have the candidates of a sibling or a subset of them; with
+    # one block and with contiguous blocks capped by their largest clique
+    rng = np.random.default_rng(seed)
+    base = [rng.random(nv) < density for _ in range(nv)]
+    owner = rng.permutation([v for v in range(nv) for _ in range(copies[v])])
+    size = len(owner)
+    adj = [0] * size
+    for x, y in itertools.combinations(range(size), 2):
+        u, v = sorted((owner[x], owner[y]))
+        if u != v and base[u][v]:
+            adj[x] |= 1 << y
+            adj[y] |= 1 << x
+    want = _lex_first_clique_brute_force(adj)
+    assert _max_clique_with_zero(adj, _identity(size), None, [(1 << size) - 1], size) == want
+    cuts = [0, *sorted(rng.choice(np.arange(1, size), size=rng.integers(0, size), replace=False)), size]
+    runs = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    blocks = [sum(1 << v for v in run) for run in runs]
+    cap = max(_largest_clique(adj, run) for run in runs)
+    assert _max_clique_with_zero(adj, _identity(size), None, blocks, cap) == want
+
+
 def test_compatibility_rows_are_the_word_distance_thresholds():
     for n in (1, 2, 3):
         words = list(itertools.product(range(5), repeat=n))
@@ -891,6 +922,19 @@ def test_max_code_guard():
     for n in (0, -1):
         with pytest.raises(ValueError, match="need n >= 1"):
             max_code(n, 1)
+    # a bool is no length or distance, and a length is an integer
+    for n, d, message in [
+        (True, 1, "^n must be an integer, not True$"),
+        (np.True_, 1, "^n must be an integer, not "),
+        (2.5, 2, r"^n must be an integer, not 2\.5$"),
+        (3.0, 2, r"^n must be an integer, not 3\.0$"),
+        (2, True, "^d must be an integer or inf, not True$"),
+        (2, np.True_, "^d must be an integer or inf, not "),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            max_code(n, d)
+    assert max_code(np.int64(2), np.int32(2)) == max_code(2, 2)
+    assert max_code(np.uint8(1), 1) == max_code(1, 1)
 
 
 def test_composite_bound_dominates_exact_sizes_quickly():

@@ -19,6 +19,7 @@ before every run, outside the timed region:
   certify_seed1    the benchmark's 36 certify jobs of seed 1, caches cleared
   maxcode_3_2      max_code(3, 2), with the length tables and the searches
                    at every length cleared
+  maxcode_3_3      max_code(3, 3), cleared likewise
   maxcode_3_inf    max_code(3, inf), cleared likewise
   mc_criterion10   monte_carlo_pe on the criterion-10 code (125 words of
                    length 4) at 2^16 trials, the codes job of seed 1
@@ -26,6 +27,10 @@ before every run, outside the timed region:
                    batch 2048, the codes job of seed 1
   mc_pentagon      monte_carlo_pe on README's code, max_code(2, inf), at
                    10^6 trials and seed 0, as README's simulate runs it
+  mc_wide          monte_carlo_pe on 2000 random words of length 10
+                   (default_rng(5)) at 2^15 trials and seed 7, decoded trial
+                   by trial over rows of 32 words: the shape where the
+                   decoder's per-bit work shows most
   import_package   a fresh `python -c "import typewriter_bounds"`, with
                    PATH/src first on PYTHONPATH, one process at a time
   import_cli       a fresh `python -c "import typewriter_bounds.cli"`, likewise
@@ -43,7 +48,7 @@ which is the same on every run and changes when a result changes.  A fresh
 interpreter's start-up swings more than the pace corrects, so compare the
 import cases by their minimum.
 
-The two clique-search cases add a line with the nodes of each pass of the
+The three clique-search cases add a line with the nodes of each pass of the
 n = 3 search, in the order the passes ran: the calls to the search's inner
 functions (grow for a size pass, scan for a witness pass), counted with
 sys.setprofile outside the timed runs.  A count does not move with the
@@ -64,6 +69,8 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -138,10 +145,13 @@ def cases(tb, run, worker) -> dict:
         "certify_seed1": (lambda: clear(lp.first_root, lp._kraw_table),
                           lambda: [worker.run_certify(job, tb) for job in jobs]),
         "maxcode_3_2": max_code(2),
+        "maxcode_3_3": max_code(3),
         "maxcode_3_inf": max_code(float("inf")),
         "mc_criterion10": monte_carlo(tb.construction.code_from_generator(gen), criterion10),
         "mc_256x10": monte_carlo(long_code["words"], long_code),
         "mc_pentagon": monte_carlo(lp.max_code(2, float("inf"))[1], {"trials": 10**6, "seed": 0}),
+        "mc_wide": monte_carlo(np.random.default_rng(5).integers(0, 5, size=(2000, 10)),
+                               {"trials": 1 << 15, "seed": 7}),
         "import_package": fresh_import("typewriter_bounds"),
         "import_cli": fresh_import("typewriter_bounds.cli"),
     }
